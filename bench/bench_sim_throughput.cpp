@@ -39,6 +39,33 @@ BM_SimulateOccupancyKernel(benchmark::State &state)
 BENCHMARK(BM_SimulateOccupancyKernel)->Arg(200)->Arg(1000);
 
 void
+BM_CaptureIssueSparse(benchmark::State &state)
+{
+    // Timing capture of a latency-bound kernel: four warps per core
+    // chase DRAM, so cores issue a few instructions per round trip and
+    // sleep in between — the issue-sparse regime of the cold sweep.
+    GpuConfig cfg = GpuConfig::gt240();
+    Simulator sim(cfg);
+    const unsigned iterations = static_cast<unsigned>(state.range(0));
+    perf::LaunchConfig lc;
+    lc.grid = {2 * cfg.numCores(), 1};
+    lc.block = {64, 1};
+    uint32_t buf = sim.gpu().allocator().alloc(
+        lc.grid.x * lc.block.x * 4 + iterations * 4096);
+    perf::KernelProgram prog =
+        workloads::makeLatencyBoundKernel(iterations, buf);
+    uint64_t cycles = 0;
+    for (auto _ : state) {
+        KernelSnapshot snap = sim.capturePerf(prog, lc, false, 0.0);
+        cycles += snap.perf.cycles;
+        benchmark::DoNotOptimize(snap.perf.cycles);
+    }
+    state.counters["shader_cycles/s"] = benchmark::Counter(
+        static_cast<double>(cycles), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CaptureIssueSparse)->Name("capture/issue_sparse")->Arg(200);
+
+void
 BM_PowerModelEvaluate(benchmark::State &state)
 {
     GpuConfig cfg = GpuConfig::gt240();

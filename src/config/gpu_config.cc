@@ -289,6 +289,14 @@ validate(const GpuConfig &cfg)
         fatal("execution unit counts must be positive");
     if (c.warp_size % 8 != 0)
         fatal("warp_size must be a multiple of the 8-address SAGU width");
+    // Lane and warp-slot sets are 64-bit masks in the timing model.
+    if (c.warp_size > 64)
+        fatal("core warp_size ", c.warp_size,
+              " exceeds the 64 lanes a warp mask can hold");
+    if (c.maxWarps() > 64)
+        fatal("core max_threads / warp_size = ", c.max_threads, " / ",
+              c.warp_size, " = ", c.maxWarps(),
+              " warps exceeds the 64 warp slots a core can hold");
     if (c.smem_bytes > c.smem_l1_bytes)
         fatal("smem_bytes cannot exceed the unified smem_l1_bytes");
     if (cfg.l2.present && cfg.l2.total_bytes == 0)

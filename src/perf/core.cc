@@ -1,6 +1,7 @@
 #include "perf/core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -33,18 +34,38 @@ asBits(float f)
     return bits;
 }
 
+/** Bits [0, k) set. */
+uint64_t
+lowBits(unsigned k)
+{
+    return k >= 64 ? ~0ull : (1ull << k) - 1;
+}
+
+/**
+ * A warp-slot mask in arbitration order: bit i of the result is slot
+ * (base + i) % n, the i-th slot a round-robin scan from `base` visits.
+ */
+uint64_t
+rotate(uint64_t mask, unsigned base, unsigned n)
+{
+    if (base == 0)
+        return mask;
+    return ((mask >> base) | (mask << (n - base))) & lowBits(n);
+}
+
 } // namespace
 
 Core::Core(const GpuConfig &cfg, unsigned core_id, MemorySystem &memsys,
            GlobalMemory &gmem, ConstantMemory &cmem)
     : _cfg(cfg), _core_id(core_id), _memsys(memsys), _gmem(gmem),
-      _cmem(cmem),
+      _cmem(cmem), _greedy(cfg.core.sched_policy == "gto"),
       _icache({cfg.core.icache_bytes, 64, cfg.core.icache_assoc, false}),
       _const_cache({cfg.core.const_cache_bytes, 64,
                     cfg.core.const_cache_assoc, false})
 {
-    GSP_ASSERT(cfg.core.warp_size <= 64,
-               "warp size above 64 not representable in lane masks");
+    GSP_ASSERT(cfg.core.warp_size <= 64 && cfg.core.maxWarps() <= 64,
+               "warp size or warp count above 64 not representable in "
+               "lane and warp masks");
     _blocks.resize(cfg.core.max_blocks);
     _warps.resize(cfg.core.maxWarps());
     if (cfg.core.lOneDBytes() > 0) {
@@ -66,6 +87,17 @@ Core::setKernel(const KernelProgram *prog, const LaunchConfig *launch)
     GSP_ASSERT(threads > 0 && threads <= _cfg.core.max_threads,
                "block of ", threads, " threads does not fit core");
     _warps_per_block = divCeil(threads, _cfg.core.warp_size);
+    _decoded.clear();
+    _decoded.reserve(prog->code.size());
+    for (const Instruction &inst : prog->code) {
+        Decoded d{0, inst.unitClass(), inst.writesReg()};
+        for (const Operand *op :
+             {&inst.dst, &inst.src_a, &inst.src_b, &inst.src_c}) {
+            if (op->kind == OperandKind::Reg)
+                d.use_mask |= 1ull << (op->value & 63);
+        }
+        _decoded.push_back(d);
+    }
 }
 
 bool
@@ -105,9 +137,12 @@ Core::canAcceptBlock() const
 }
 
 void
-Core::launchBlock(unsigned cta_x, unsigned cta_y)
+Core::launchBlock(unsigned cta_x, unsigned cta_y, uint64_t cycle)
 {
     GSP_ASSERT(canAcceptBlock(), "launchBlock without capacity");
+    settle(cycle);
+    _sleeping = false;
+    _wake = cycle;
     unsigned threads = _launch->block.count();
 
     unsigned block_slot = 0;
@@ -143,6 +178,7 @@ Core::launchBlock(unsigned cta_x, unsigned cta_y)
                                   threads - warp.base_thread);
         uint64_t mask = lanes >= 64 ? ~0ull : ((1ull << lanes) - 1);
         warp.stack.push_back({no_reconv, 0, mask});
+        refreshCandidates(w);
         ++assigned;
         ++_act.wst_writes;   // WST entry initialization
     }
@@ -150,12 +186,12 @@ Core::launchBlock(unsigned cta_x, unsigned cta_y)
     ++_resident_blocks;
 }
 
-unsigned
-Core::collectFinishedBlocks()
+bool
+Core::takeCapacityFreed()
 {
-    unsigned n = _finished_blocks;
-    _finished_blocks = 0;
-    return n;
+    bool freed = _capacity_freed;
+    _capacity_freed = false;
+    return freed;
 }
 
 void
@@ -168,13 +204,36 @@ Core::resetForKernel()
     _const_cache.flush();
     while (!_completions.empty())
         _completions.pop();
-    _int_free = _fp_free = _sfu_free = _mem_free = 0;
+    std::fill(std::begin(_unit_free), std::end(_unit_free), 0);
     _fetch_rr = _issue_rr = 0;
     for (auto &w : _warps)
         w = Warp{};
     for (auto &b : _blocks)
         b = Block{};
+    _fetch_cand = 0;
+    std::fill(std::begin(_unit_cand), std::end(_unit_cand), 0);
+    _sleeping = false;
+    _wake = 0;
+    _cycles_slept = 0;
+    _capacity_freed = false;
     _act = CoreActivity{};
+}
+
+void
+Core::settle(uint64_t cycle)
+{
+    if (!_sleeping || cycle <= _sleep_from)
+        return;
+    // Each skipped step is the quiet step that put the core to sleep:
+    // both arbiters ran and every issue candidate probed the
+    // scoreboard once.
+    uint64_t n = cycle - _sleep_from;
+    _act.cycles_resident += n;
+    _act.fetch_arbitrations += n;
+    _act.issue_arbitrations += n;
+    _act.scoreboard_checks += n * _quiet_probes;
+    _cycles_slept += n;
+    _sleep_from = cycle;
 }
 
 void
@@ -182,18 +241,72 @@ Core::step(uint64_t cycle)
 {
     if (!busy())
         return;
+    settle(cycle);
+    _sleeping = false;
     ++_act.cycles_resident;
-    drainCompletions(cycle);
-    issueStage(cycle);
-    fetchStage(cycle);
+    uint64_t probes = _act.scoreboard_checks;
+    bool progress = drainCompletions(cycle);
+    progress |= issueStage(cycle);
+    progress |= fetchStage(cycle);
+    if (progress) {
+        _wake = cycle + 1;
+        return;
+    }
+    _sleeping = true;
+    _sleep_from = cycle + 1;
+    _quiet_probes = _act.scoreboard_checks - probes;
+    _wake = nextEventCycle(cycle);
+}
+
+uint64_t
+Core::nextEventCycle(uint64_t cycle) const
+{
+    // After a quiet step only time can unblock a warp: a writeback
+    // (scoreboard, barrel mode, memory wait), an I-cache refill, or a
+    // pipeline becoming free.
+    uint64_t next = ~0ull;
+    if (!_completions.empty())
+        next = _completions.top().when;
+    for (uint64_t m = _fetch_cand; m; m &= m - 1) {
+        uint64_t ready = _warps[std::countr_zero(m)].fetch_ready;
+        if (ready > cycle)
+            next = std::min(next, ready);
+    }
+    for (uint64_t free_at : _unit_free) {
+        if (free_at > cycle)
+            next = std::min(next, free_at);
+    }
+    return next;
 }
 
 void
+Core::refreshCandidates(unsigned warp_idx)
+{
+    const Warp &warp = _warps[warp_idx];
+    uint64_t bit = 1ull << warp_idx;
+    bool live = warp.valid && !warp.stack.empty() && !warp.at_barrier &&
+                !warp.waiting_mem;
+    bool can_issue = live && warp.ibuffer > 0 &&
+                     (_cfg.core.scoreboard || !warp.inflight);
+    bool can_fetch = live && warp.ibuffer < _cfg.core.ibuffer_slots;
+    for (uint64_t &m : _unit_cand)
+        m &= ~bit;
+    if (can_issue) {
+        unsigned u = static_cast<unsigned>(
+            _decoded[warp.stack.back().exec_pc].unit);
+        _unit_cand[u] |= bit;
+    }
+    _fetch_cand = can_fetch ? _fetch_cand | bit : _fetch_cand & ~bit;
+}
+
+bool
 Core::drainCompletions(uint64_t cycle)
 {
+    bool any = false;
     while (!_completions.empty() && _completions.top().when <= cycle) {
         Completion c = _completions.top();
         _completions.pop();
+        any = true;
         Warp &warp = _warps[c.warp];
         if (!warp.valid) {
             // Block already retired (e.g. store ack after exit).
@@ -209,25 +322,22 @@ Core::drainCompletions(uint64_t cycle)
             ++_act.scoreboard_writes;  // release update
         }
         ++_act.writebacks;
+        refreshCandidates(c.warp);
     }
+    return any;
 }
 
-void
+bool
 Core::fetchStage(uint64_t cycle)
 {
     unsigned n = static_cast<unsigned>(_warps.size());
     ++_act.fetch_arbitrations;
-    for (unsigned i = 0; i < n; ++i) {
-        unsigned w = (_fetch_rr + i) % n;
+    for (uint64_t order = rotate(_fetch_cand, _fetch_rr, n); order;
+         order &= order - 1) {
+        unsigned w = (_fetch_rr + std::countr_zero(order)) % n;
         Warp &warp = _warps[w];
-        if (!warp.valid || warp.stack.empty())
+        if (warp.fetch_ready > cycle)
             continue;
-        if (warp.ibuffer >= _cfg.core.ibuffer_slots)
-            continue;
-        if (warp.fetch_ready > cycle || warp.at_barrier ||
-            warp.waiting_mem) {
-            continue;
-        }
         ++_act.wst_reads;
         ++_act.icache_reads;
         uint64_t fetch_pc = warp.stack.back().exec_pc + warp.ibuffer;
@@ -240,81 +350,75 @@ Core::fetchStage(uint64_t cycle)
             ++_act.ibuffer_writes;
             ++warp.ibuffer;
         }
+        refreshCandidates(w);
         _fetch_rr = (w + 1) % n;
-        return;
+        return true;
     }
-}
-
-void
-Core::issueStage(uint64_t cycle)
-{
-    unsigned n = static_cast<unsigned>(_warps.size());
-    unsigned issued = 0;
-    ++_act.issue_arbitrations;
-    bool greedy = _cfg.core.sched_policy == "gto";
-    for (unsigned i = 0; i < n && issued < _cfg.core.issue_width; ++i) {
-        unsigned w = (_issue_rr + i) % n;
-        if (tryIssue(w, cycle)) {
-            ++issued;
-            // Rotating priority moves past the winner; greedy-then-
-            // oldest keeps issuing the same warp until it stalls.
-            _issue_rr = greedy ? w : (w + 1) % n;
-        }
-    }
+    return false;
 }
 
 bool
-Core::tryIssue(unsigned warp_idx, uint64_t cycle)
+Core::issueStage(uint64_t cycle)
+{
+    const bool scoreboard = _cfg.core.scoreboard;
+    unsigned n = static_cast<unsigned>(_warps.size());
+    unsigned issued = 0;
+    ++_act.issue_arbitrations;
+    // The scan visits offsets off, off + 1, ... from _issue_rr, which
+    // moves when a warp issues mid-scan (issue_width > 1). Every
+    // candidate visited costs one scoreboard probe; only those whose
+    // unit is free need their registers checked.
+    for (unsigned off = 0; issued < _cfg.core.issue_width && off < n;) {
+        uint64_t all_units = 0;
+        uint64_t free_units = 0;
+        for (unsigned u = 0; u < num_units; ++u) {
+            all_units |= _unit_cand[u];
+            if (_unit_free[u] <= cycle)
+                free_units |= _unit_cand[u];
+        }
+        uint64_t visit = ~lowBits(off);
+        uint64_t cand = rotate(all_units, _issue_rr, n) & visit;
+        uint64_t ready = rotate(free_units, _issue_rr, n) & visit;
+        int winner = -1;
+        for (; ready; ready &= ready - 1) {
+            unsigned w = (_issue_rr + std::countr_zero(ready)) % n;
+            const Warp &warp = _warps[w];
+            const Decoded &dec = _decoded[warp.stack.back().exec_pc];
+            if (scoreboard &&
+                ((warp.pending_reg_mask & dec.use_mask) ||
+                 (dec.writes_reg &&
+                  warp.pending_count >= _cfg.core.scoreboard_entries))) {
+                continue;
+            }
+            winner = std::countr_zero(ready);
+            break;
+        }
+        if (winner < 0) {
+            if (scoreboard)
+                _act.scoreboard_checks += popCount(cand);
+            break;
+        }
+        if (scoreboard)
+            _act.scoreboard_checks += popCount(cand & lowBits(winner + 1));
+        unsigned w = (_issue_rr + winner) % n;
+        issue(w, cycle);
+        refreshCandidates(w);
+        ++issued;
+        off = winner + 1;
+        // Rotating priority moves past the winner; greedy-then-
+        // oldest keeps issuing the same warp until it stalls.
+        _issue_rr = _greedy ? w : (w + 1) % n;
+    }
+    return issued > 0;
+}
+
+void
+Core::issue(unsigned warp_idx, uint64_t cycle)
 {
     Warp &warp = _warps[warp_idx];
-    if (!warp.valid || warp.stack.empty() || warp.ibuffer == 0)
-        return false;
-    if (warp.at_barrier || warp.waiting_mem)
-        return false;
-    if (!_cfg.core.scoreboard && warp.inflight)
-        return false;
-
     StackEntry &tos = warp.stack.back();
     const Instruction &inst = _prog->code[tos.exec_pc];
-
-    if (_cfg.core.scoreboard) {
-        ++_act.scoreboard_checks;
-        uint64_t use_mask = 0;
-        if (inst.dst.kind == OperandKind::Reg)
-            use_mask |= 1ull << (inst.dst.value & 63);
-        for (const Operand *op : {&inst.src_a, &inst.src_b, &inst.src_c}) {
-            if (op->kind == OperandKind::Reg)
-                use_mask |= 1ull << (op->value & 63);
-        }
-        if (warp.pending_reg_mask & use_mask)
-            return false;
-        if (inst.writesReg() &&
-            warp.pending_count >= _cfg.core.scoreboard_entries) {
-            return false;
-        }
-    }
-
-    UnitClass uc = inst.unitClass();
-    switch (uc) {
-      case UnitClass::Int:
-        if (_int_free > cycle)
-            return false;
-        break;
-      case UnitClass::Fp:
-        if (_fp_free > cycle)
-            return false;
-        break;
-      case UnitClass::Sfu:
-        if (_sfu_free > cycle)
-            return false;
-        break;
-      case UnitClass::Mem:
-        if (_mem_free > cycle)
-            return false;
-        break;
-      case UnitClass::Ctrl:
-        break;
-    }
+    UnitClass uc = _decoded[tos.exec_pc].unit;
 
     // --- Issue accepted. ---
     --warp.ibuffer;
@@ -376,13 +480,14 @@ Core::tryIssue(unsigned warp_idx, uint64_t cycle)
             warp.ibuffer = 0;
         }
         finishWarpIfDone(warp_idx);
-        return true;
+        return;
       }
       case UnitClass::Int: {
         ++_act.int_warp_insts;
         _act.int_lane_ops += enabled;
         unsigned initiation = divCeil(warp_size, _cfg.core.int_lanes);
-        _int_free = cycle + initiation;
+        _unit_free[static_cast<unsigned>(UnitClass::Int)] =
+            cycle + initiation;
         executeInstruction(warp, inst, exec_mask, cycle);
         Completion c{cycle + _cfg.core.int_latency + initiation,
                      warp_idx, -1, 0};
@@ -400,7 +505,8 @@ Core::tryIssue(unsigned warp_idx, uint64_t cycle)
         ++_act.fp_warp_insts;
         _act.fp_lane_ops += enabled;
         unsigned initiation = divCeil(warp_size, _cfg.core.fp_lanes);
-        _fp_free = cycle + initiation;
+        _unit_free[static_cast<unsigned>(UnitClass::Fp)] =
+            cycle + initiation;
         executeInstruction(warp, inst, exec_mask, cycle);
         Completion c{cycle + _cfg.core.fp_latency + initiation,
                      warp_idx, -1, 0};
@@ -418,7 +524,8 @@ Core::tryIssue(unsigned warp_idx, uint64_t cycle)
         ++_act.sfu_warp_insts;
         _act.sfu_lane_ops += enabled;
         unsigned initiation = divCeil(warp_size, _cfg.core.sfu_units);
-        _sfu_free = cycle + initiation;
+        _unit_free[static_cast<unsigned>(UnitClass::Sfu)] =
+            cycle + initiation;
         executeInstruction(warp, inst, exec_mask, cycle);
         Completion c{cycle + _cfg.core.sfu_latency + initiation,
                      warp_idx, -1, 0};
@@ -465,7 +572,6 @@ Core::tryIssue(unsigned warp_idx, uint64_t cycle)
         warp.ibuffer = 0;
     }
     (void)active;
-    return true;
 }
 
 void
@@ -517,9 +623,11 @@ Core::releaseBarrierIfReady(unsigned block_slot)
     if (blk.live_warps == 0 || blk.at_barrier < blk.live_warps)
         return;
     blk.at_barrier = 0;
-    for (auto &w : _warps) {
-        if (w.valid && w.block_slot == block_slot)
-            w.at_barrier = false;
+    for (unsigned w = 0; w < _warps.size(); ++w) {
+        if (_warps[w].valid && _warps[w].block_slot == block_slot) {
+            _warps[w].at_barrier = false;
+            refreshCandidates(w);
+        }
     }
 }
 
@@ -531,6 +639,7 @@ Core::finishWarpIfDone(unsigned warp_idx)
         return;
     unsigned block_slot = warp.block_slot;
     warp.valid = false;
+    _capacity_freed = true;
     Block &blk = _blocks[block_slot];
     GSP_ASSERT(blk.live_warps > 0, "warp accounting broke");
     --blk.live_warps;
@@ -542,7 +651,6 @@ Core::finishWarpIfDone(unsigned warp_idx)
     blk = Block{};
     GSP_ASSERT(_resident_blocks > 0, "block accounting broke");
     --_resident_blocks;
-    ++_finished_blocks;
 }
 
 uint64_t
@@ -551,6 +659,7 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
 {
     Block &blk = _blocks[warp.block_slot];
     const unsigned warp_size = _cfg.core.warp_size;
+    uint64_t &mem_free = _unit_free[static_cast<unsigned>(UnitClass::Mem)];
 
     // AGU: one address per enabled lane, 8 addresses per SAGU/cycle.
     _addr_scratch.clear();
@@ -569,7 +678,7 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
                 divCeil(enabled, 8 * _cfg.core.sagu_count)));
 
     if (enabled == 0) {
-        _mem_free = cycle + 1;
+        mem_free = cycle + 1;
         return cycle + 1;
     }
 
@@ -597,7 +706,7 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
                     blk.smem->load32(addr);
             }
         }
-        _mem_free = cycle + agu_cycles + info.serialization;
+        mem_free = cycle + agu_cycles + info.serialization;
         return cycle + _cfg.core.smem_latency + info.serialization;
       }
       case Op::LDC: {
@@ -619,7 +728,7 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
             threadReg(blk, tid, inst.dst.value) =
                 _cmem.load32(_addr_scratch[idx++]);
         }
-        _mem_free = cycle + agu_cycles + d;
+        mem_free = cycle + agu_cycles + d;
         return cycle + _cfg.core.l1_latency + d + miss_extra;
       }
       case Op::LDG:
@@ -704,7 +813,7 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
                 t_done = std::max(t_done, t_seg);
             }
         }
-        _mem_free = cycle + agu_cycles + n_seg;
+        mem_free = cycle + agu_cycles + n_seg;
         if (is_store) {
             // Fire-and-forget: the warp only waits for the LDST
             // unit's own occupancy, not the DRAM round trip.

@@ -12,6 +12,15 @@
  * its lanes compute real values, so addresses and branch outcomes
  * are exact; timing is modeled with pipeline next-free times and a
  * completion event heap.
+ *
+ * Stepping is event-driven. A step that changes no state (nothing
+ * written back, issued or fetched) is quiet, and every later step is
+ * the same quiet step until the core's next event: a completion, a
+ * warp's I-cache refill, or a pipeline becoming free. The core then
+ * sleeps until that cycle (wakeCycle()) and settle() books the skipped
+ * steps' arbitration counters in bulk, so the counts equal those of
+ * stepping every cycle. Arbitration walks bitmasks of the warps that
+ * pass the cheap state checks instead of every warp slot.
  */
 
 #ifndef GPUSIMPOW_PERF_CORE_HH
@@ -64,23 +73,43 @@ class Core
     bool canAcceptBlock() const;
 
     /**
-     * Launch one thread block onto this core.
+     * Launch one thread block onto this core; wakes a sleeping core.
      * @param cta_x block x index
      * @param cta_y block y index
+     * @param cycle shader cycle of the launch
      */
-    void launchBlock(unsigned cta_x, unsigned cta_y);
+    void launchBlock(unsigned cta_x, unsigned cta_y, uint64_t cycle);
 
-    /** Advance one shader cycle. */
+    /** Advance one shader cycle (must be >= wakeCycle()). */
     void step(uint64_t cycle);
+
+    /**
+     * First cycle at which step() can change state. A busy core needs
+     * no step() before it: every step in between would be quiet.
+     * ~0 when no event is pending at all (the core can never finish).
+     */
+    uint64_t wakeCycle() const { return _wake; }
+
+    /**
+     * Book the quiet steps a sleeping core skipped before `cycle`.
+     * Call before reading activity() at a cycle boundary.
+     */
+    void settle(uint64_t cycle);
+
+    /**
+     * True once after a warp exited: the only event that can let a
+     * block that did not fit before fit now.
+     */
+    bool takeCapacityFreed();
+
+    /** Resident cycles booked in bulk by settle() this kernel. */
+    uint64_t cyclesSlept() const { return _cycles_slept; }
 
     /** True if any block is resident. */
     bool busy() const { return _resident_blocks > 0; }
 
     /** Blocks currently resident. */
     unsigned residentBlocks() const { return _resident_blocks; }
-
-    /** Blocks finished since the last call (and reset the count). */
-    unsigned collectFinishedBlocks();
 
     /** Activity counters (cumulative). */
     const CoreActivity &activity() const { return _act; }
@@ -120,6 +149,14 @@ class Core
         unsigned pending_count = 0;    // scoreboard entries used
     };
 
+    /** Per-instruction issue facts, decoded once per kernel. */
+    struct Decoded
+    {
+        uint64_t use_mask;         // registers read or written
+        UnitClass unit;
+        bool writes_reg;
+    };
+
     /** Completion event (writeback). */
     struct Completion
     {
@@ -138,25 +175,41 @@ class Core
 
     const KernelProgram *_prog = nullptr;
     const LaunchConfig *_launch = nullptr;
+    std::vector<Decoded> _decoded;
     unsigned _warps_per_block = 0;
+    const bool _greedy;       // sched_policy == "gto"
 
     std::vector<Block> _blocks;
     std::vector<Warp> _warps;
     unsigned _resident_blocks = 0;
-    unsigned _finished_blocks = 0;
 
     CacheModel _icache;
     std::unique_ptr<CacheModel> _l1d;   // null when not configured
     CacheModel _const_cache;
 
-    // Pipeline next-free times (shader cycles).
-    uint64_t _int_free = 0;
-    uint64_t _fp_free = 0;
-    uint64_t _sfu_free = 0;
-    uint64_t _mem_free = 0;
+    // Pipeline next-free times (shader cycles), indexed by UnitClass;
+    // the Ctrl entry stays 0 (control ops never wait for a unit).
+    static constexpr unsigned num_units = 5;
+    uint64_t _unit_free[num_units] = {};
 
     unsigned _fetch_rr = 0;   // round-robin pointers
     unsigned _issue_rr = 0;
+
+    // Warps passing the issue / fetch state checks (bit = warp slot).
+    // Issue candidates are split by the unit of their next
+    // instruction; the fetch mask leaves the time-dependent
+    // fetch_ready check out.
+    uint64_t _unit_cand[num_units] = {};
+    uint64_t _fetch_cand = 0;
+
+    // Sleep state: after a quiet step at cycle c, the steps of
+    // [_sleep_from, _wake) are quiet too and are booked by settle().
+    bool _sleeping = false;
+    uint64_t _sleep_from = 0;
+    uint64_t _wake = 0;
+    uint64_t _quiet_probes = 0;    // scoreboard_checks per quiet step
+    uint64_t _cycles_slept = 0;
+    bool _capacity_freed = false;
 
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>> _completions;
@@ -168,10 +221,12 @@ class Core
     std::vector<uint32_t> _seg_scratch;
 
     // --- stage helpers ---
-    void drainCompletions(uint64_t cycle);
-    void fetchStage(uint64_t cycle);
-    void issueStage(uint64_t cycle);
-    bool tryIssue(unsigned warp_idx, uint64_t cycle);
+    bool drainCompletions(uint64_t cycle);
+    bool fetchStage(uint64_t cycle);
+    bool issueStage(uint64_t cycle);
+    void issue(unsigned warp_idx, uint64_t cycle);
+    void refreshCandidates(unsigned warp_idx);
+    uint64_t nextEventCycle(uint64_t cycle) const;
     void executeInstruction(Warp &warp, const Instruction &inst,
                             uint64_t exec_mask, uint64_t cycle);
     uint64_t executeMemory(Warp &warp, const Instruction &inst,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "obs/metrics.hh"
 
 namespace gpusimpow {
 namespace perf {
@@ -11,6 +12,36 @@ namespace {
 
 /** Hard cap against runaway kernels (simulator bug guard). */
 constexpr uint64_t max_shader_cycles = 2000000000ull;
+
+/** Wake-up cycle of a core with no pending event. */
+constexpr uint64_t never = ~0ull;
+
+/** The timing layer's instrument set, published once per run. */
+struct PerfMetrics
+{
+    obs::Counter &kernels;
+    obs::Counter &shader_cycles;
+    obs::Counter &warp_insts;
+    obs::Counter &core_steps;
+    obs::Counter &core_cycles_slept;
+
+    static PerfMetrics &instance()
+    {
+        obs::Registry &reg = obs::Registry::instance();
+        static PerfMetrics m{
+            reg.counter("perf/kernels", "kernels run by the timing model"),
+            reg.counter("perf/shader_cycles",
+                        "shader cycles simulated, summed over kernels"),
+            reg.counter("perf/warp_insts", "warp instructions issued"),
+            reg.counter("perf/core_steps",
+                        "resident core-cycles stepped one by one"),
+            reg.counter("perf/core_cycles_slept",
+                        "resident core-cycles booked in bulk while the "
+                        "core slept until its next event"),
+        };
+        return m;
+    }
+};
 
 } // namespace
 
@@ -76,15 +107,11 @@ Gpu::pickCoreForBlock() const
     unsigned best_core_load = ~0u;
     unsigned best_cluster_load = ~0u;
 
-    std::vector<unsigned> cluster_load(_cfg.clusters, 0);
-    for (unsigned c = 0; c < _cores.size(); ++c)
-        cluster_load[clusterOf(c)] += _cores[c]->residentBlocks();
-
     for (unsigned c = 0; c < _cores.size(); ++c) {
         if (!_cores[c]->canAcceptBlock())
             continue;
         unsigned core_load = _cores[c]->residentBlocks();
-        unsigned cl_load = cluster_load[clusterOf(c)];
+        unsigned cl_load = clusterLoad(clusterOf(c));
         if (core_load < best_core_load ||
             (core_load == best_core_load && cl_load < best_cluster_load)) {
             best = static_cast<int>(c);
@@ -95,9 +122,31 @@ Gpu::pickCoreForBlock() const
     return best;
 }
 
-ChipActivity
-Gpu::snapshot(uint64_t cycle) const
+unsigned
+Gpu::clusterLoad(unsigned cluster) const
 {
+    unsigned load = 0;
+    for (unsigned i = 0; i < _cfg.cores_per_cluster; ++i)
+        load += _cores[cluster * _cfg.cores_per_cluster + i]
+                    ->residentBlocks();
+    return load;
+}
+
+bool
+Gpu::clusterBusy(unsigned cluster) const
+{
+    for (unsigned i = 0; i < _cfg.cores_per_cluster; ++i) {
+        if (_cores[cluster * _cfg.cores_per_cluster + i]->busy())
+            return true;
+    }
+    return false;
+}
+
+ChipActivity
+Gpu::snapshot(uint64_t cycle)
+{
+    for (const auto &core : _cores)
+        core->settle(cycle);
     ChipActivity act;
     act.cores.reserve(_cores.size());
     for (const auto &core : _cores)
@@ -146,53 +195,94 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
     }
     ChipActivity prev = snapshot(0);
 
+    auto sample = [&](uint64_t at) {
+        _memsys.updateDramCounters();
+        ChipActivity now = snapshot(at);
+        ChipActivity delta = now.diff(prev);
+        double t1 = now.elapsed_s;
+        sampler(delta, prev.elapsed_s, t1);
+        prev = std::move(now);
+    };
+
+    // Event-driven loop: a core is stepped only at its wakeCycle(),
+    // and when every busy core sleeps the loop jumps to the earliest
+    // wake-up (or sample boundary), booking busy cycles in bulk.
+    // Block placement depends only on which warps are resident, so it
+    // is retried only after a warp exited.
     uint64_t cycle = 0;
+    bool try_dispatch = true;
     while (true) {
         // Global scheduler: place as many blocks as fit this cycle.
-        while (next_block < pending.size()) {
+        while (try_dispatch && next_block < pending.size()) {
             int core = pickCoreForBlock();
             if (core < 0)
                 break;
             _cores[core]->launchBlock(pending[next_block].first,
-                                      pending[next_block].second);
+                                      pending[next_block].second, cycle);
             ++next_block;
             ++_blocks_dispatched;
         }
+        try_dispatch = false;
 
         bool any_busy = false;
+        uint64_t wake = never;
         for (unsigned cl = 0; cl < _cfg.clusters; ++cl) {
             bool cl_busy = false;
             for (unsigned i = 0; i < _cfg.cores_per_cluster; ++i) {
                 Core &core = *_cores[cl * _cfg.cores_per_cluster + i];
-                if (core.busy()) {
-                    cl_busy = true;
+                if (!core.busy())
+                    continue;
+                cl_busy = true;
+                if (core.wakeCycle() <= cycle) {
                     core.step(cycle);
+                    try_dispatch |= core.takeCapacityFreed();
                 }
+                wake = std::min(wake, core.wakeCycle());
             }
             if (cl_busy) {
                 ++_cluster_busy[cl];
                 any_busy = true;
             }
         }
+        if (!any_busy && next_block < pending.size())
+            fatal("kernel ", prog.name, ": no core can accept a block (",
+                  next_block, " of ", pending.size(),
+                  " dispatched; check max_blocks and the per-core "
+                  "thread, register and shared-memory limits)");
         if (any_busy || next_block < pending.size())
             ++_gpu_busy;
 
         ++cycle;
-
-        if (sample_cycles && cycle % sample_cycles == 0) {
-            _memsys.updateDramCounters();
-            ChipActivity now = snapshot(cycle);
-            ChipActivity delta = now.diff(prev);
-            double t1 = now.elapsed_s;
-            sampler(delta, prev.elapsed_s, t1);
-            prev = std::move(now);
-        }
+        if (sample_cycles && cycle % sample_cycles == 0)
+            sample(cycle);
 
         if (!any_busy && next_block >= pending.size())
             break;
+
+        if (!try_dispatch && wake > cycle) {
+            // Every busy core sleeps past this cycle and no block can
+            // be placed before one of them wakes.
+            if (wake == never)
+                fatal("kernel ", prog.name, " stalled at shader cycle ",
+                      cycle, ": no resident warp can ever issue and no "
+                      "event is pending (check issue_width)");
+            uint64_t target = wake;
+            if (sample_cycles)
+                target = std::min(
+                    target, (cycle / sample_cycles + 1) * sample_cycles);
+            uint64_t skipped = target - cycle;
+            for (unsigned cl = 0; cl < _cfg.clusters; ++cl) {
+                if (clusterBusy(cl))
+                    _cluster_busy[cl] += skipped;
+            }
+            _gpu_busy += skipped;
+            cycle = target;
+            if (sample_cycles && cycle % sample_cycles == 0)
+                sample(cycle);
+        }
         if (cycle > max_shader_cycles)
-            GSP_PANIC("kernel ", prog.name, " exceeded ",
-                      max_shader_cycles, " shader cycles — livelock?");
+            fatal("kernel ", prog.name, " exceeded ", max_shader_cycles,
+                  " shader cycles — livelock?");
     }
 
     _memsys.updateDramCounters();
@@ -208,8 +298,19 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
     result.cycles = cycle;
     result.time_s = final_act.elapsed_s;
     result.activity = final_act;
-    for (const auto &c : final_act.cores)
-        result.instructions += c.issued_insts;
+    uint64_t resident = 0;
+    uint64_t slept = 0;
+    for (unsigned c = 0; c < _cores.size(); ++c) {
+        result.instructions += final_act.cores[c].issued_insts;
+        resident += final_act.cores[c].cycles_resident;
+        slept += _cores[c]->cyclesSlept();
+    }
+    PerfMetrics &m = PerfMetrics::instance();
+    m.kernels.add(1);
+    m.shader_cycles.add(cycle);
+    m.warp_insts.add(result.instructions);
+    m.core_steps.add(resident - slept);
+    m.core_cycles_slept.add(slept);
     return result;
 }
 

@@ -123,7 +123,14 @@ class Gpu
     /** Pick the core the hardware scheduler would use, or -1. */
     int pickCoreForBlock() const;
 
-    ChipActivity snapshot(uint64_t cycle) const;
+    /** Blocks resident on the cores of one cluster. */
+    unsigned clusterLoad(unsigned cluster) const;
+
+    /** True if any core of the cluster has a resident block. */
+    bool clusterBusy(unsigned cluster) const;
+
+    /** Chip counters at a cycle boundary (settles sleeping cores). */
+    ChipActivity snapshot(uint64_t cycle);
 };
 
 } // namespace perf

@@ -121,5 +121,28 @@ makeOccupancyKernel(unsigned iterations, uint32_t sink_addr)
         });
 }
 
+perf::KernelProgram
+makeLatencyBoundKernel(unsigned iterations, uint32_t buf_addr)
+{
+    KernelBuilder b("latencyBound", 4);
+    emitGlobalTid(b, 0);
+    b.imad(0, R(0), I(4), I(buf_addr));
+    b.mov(1, I(0));    // loop counter
+    auto loop = b.newLabel();
+    auto done = b.newLabel();
+    b.bind(loop);
+    b.setp(0, Cmp::GE, CmpType::U32, R(1), I(iterations));
+    b.braIf(0, false, done, done);
+    b.ldg(2, R(0));
+    b.iadd(0, R(0), R(2));
+    b.iadd(0, R(0), I(4096));
+    b.iadd(1, R(1), I(1));
+    b.jump(loop);
+    b.bind(done);
+    b.stg(R(0), R(1));
+    b.exit();
+    return b.finish();
+}
+
 } // namespace workloads
 } // namespace gpusimpow

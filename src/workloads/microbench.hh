@@ -44,6 +44,18 @@ perf::KernelProgram makeFpMicrobench(unsigned iterations,
 perf::KernelProgram makeOccupancyKernel(unsigned iterations,
                                         uint32_t sink_addr);
 
+/**
+ * Memory-latency-bound kernel: every loop iteration is one global
+ * load whose value feeds the next address, striding a DRAM row per
+ * iteration, so each warp spends nearly all its time waiting on DRAM
+ * and cores issue a few instructions per round trip.
+ * @param iterations loads per thread
+ * @param buf_addr global buffer of threads * 4 + iterations * 4096
+ *        bytes (reads as zero unless written)
+ */
+perf::KernelProgram makeLatencyBoundKernel(unsigned iterations,
+                                           uint32_t buf_addr);
+
 } // namespace workloads
 } // namespace gpusimpow
 

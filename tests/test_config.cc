@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/logging.hh"
 #include "config/gpu_config.hh"
 
@@ -107,6 +109,36 @@ TEST(GpuConfig, ValidationCatchesBadGeometry)
     c = GpuConfig::gt240();
     c.core.sched_policy = "magic";
     EXPECT_THROW(GpuConfig::fromXml(c.toXml()), FatalError);
+}
+
+TEST(GpuConfig, ValidationRejectsWarpSizeAbove64)
+{
+    GpuConfig c = GpuConfig::gt240();
+    c.core.warp_size = 128;   // divides max_threads = 768
+    try {
+        GpuConfig::fromXml(c.toXml());
+        FAIL() << "warp_size 128 was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("warp_size"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(GpuConfig, ValidationRejectsMoreThan64Warps)
+{
+    GpuConfig c = GpuConfig::gtx580();
+    c.core.max_threads = 65 * c.core.warp_size;
+    try {
+        GpuConfig::fromXml(c.toXml());
+        FAIL() << "65 warps per core were accepted";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("max_threads"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("warp_size"), std::string::npos) << msg;
+    }
+    c.core.max_threads = 64 * c.core.warp_size;   // the limit itself
+    EXPECT_NO_THROW(GpuConfig::fromXml(c.toXml()));
 }
 
 TEST(GpuConfig, ValidationCatchesNonPhysicalTemperature)
