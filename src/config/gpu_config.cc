@@ -297,6 +297,25 @@ validate(const GpuConfig &cfg)
         fatal("core max_threads / warp_size = ", c.max_threads, " / ",
               c.warp_size, " = ", c.maxWarps(),
               " warps exceeds the 64 warp slots a core can hold");
+    // Divisors and set counts of the timing model: zero would crash
+    // the first capture (division by zero or an assertion) instead of
+    // failing the configuration.
+    const struct
+    {
+        const char *name;
+        unsigned value;
+    } positive[] = {
+        {"core.regfile_banks", c.regfile_banks},
+        {"core.sagu_count", c.sagu_count},
+        {"core.ibuffer_slots", c.ibuffer_slots},
+        {"core.icache_assoc", c.icache_assoc},
+        {"core.line_bytes", c.line_bytes},
+        {"dram.banks", cfg.dram.banks},
+        {"dram.burst_length", cfg.dram.burst_length},
+    };
+    for (const auto &field : positive)
+        if (field.value == 0)
+            fatal(field.name, " must be positive, got 0");
     if (c.smem_bytes > c.smem_l1_bytes)
         fatal("smem_bytes cannot exceed the unified smem_l1_bytes");
     if (cfg.l2.present && cfg.l2.total_bytes == 0)

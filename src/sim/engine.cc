@@ -58,68 +58,54 @@ finalizeScenario(ScenarioResult &result, const Simulator &simulator)
 }
 
 /**
- * Replay one batched work unit from `snapshot`, starting at member
- * index `first`: first == 1 when unit[0] was just captured (and
- * published) by the caller, first == 0 when the snapshot came from an
- * external source (EngineOptions::snapshot_source) and every member
- * replays. All replayed members are power-only variants of the same
- * timing fingerprint. Traced snapshots evaluate all variants'
- * intervals together through the batched matrix evaluator (kernels
- * outer, variants inner: each kernel's activity matrix is packed once
- * and multiplied against the whole coefficient stack); untraced
- * snapshots fall back to the scalar whole-kernel replay per variant,
- * where there is no interval loop to batch.
+ * Replay power-only variants of one timing fingerprint from
+ * `snapshot`. Each variant gets its own Simulator — their compiled
+ * power models are the coefficient stack, and each carries its own
+ * thermal state across the snapshot's kernels — except variants[0],
+ * which runs on `lead` when the caller supplies one. Traced kernels
+ * evaluate every variant's intervals together through the batched
+ * matrix evaluator (kernels outer, variants inner: each kernel's
+ * activity matrix is packed once and multiplied against the whole
+ * coefficient stack); untraced snapshots have no interval loop, so
+ * no evaluator is built for them.
  */
-template <typename Publish>
-void
-replayGroup(const SimulationEngine &engine,
-            const std::vector<Scenario> &scenarios,
-            const std::vector<std::size_t> &unit, std::size_t first,
-            const ActivitySnapshot &snapshot,
-            power::BatchedPowerEvaluator::Workspace &batch_ws,
-            Publish &&publish, std::atomic<std::size_t> &replayed)
+std::vector<ScenarioResult>
+replayVariants(const std::vector<const Scenario *> &variants,
+               const ActivitySnapshot &snapshot, Simulator *lead,
+               power::BatchedPowerEvaluator::Workspace &batch_ws)
 {
-    // Registered (with descriptions) by run() before any worker can
-    // get here; these lookups just cache the stable references.
-    static obs::Counter &c_replayed =
-        obs::Registry::instance().counter("engine/scenarios_replayed");
+    // Registered (with a description) by run() before any worker can
+    // get here; this lookup just caches the stable reference.
     static obs::Counter &c_builds =
         obs::Registry::instance().counter("engine/simulator_builds");
 
-    if (!snapshot.with_trace) {
-        for (std::size_t k = first; k < unit.size(); ++k) {
-            const Scenario &variant = scenarios[unit[k]];
-            Simulator sim(variant.config);
-            c_builds.add(1);
-            publish(engine.replayScenario(variant, snapshot, sim));
-            replayed.fetch_add(1);
-            c_replayed.add(1);
-        }
-        return;
-    }
-
-    // One Simulator per variant: their compiled power models are the
-    // coefficient stack, and each carries its own thermal state
-    // across the snapshot's kernels, exactly like a scalar replay.
-    const std::size_t n_variants = unit.size() - first;
-    std::vector<const Scenario *> variants;
-    std::vector<std::unique_ptr<Simulator>> sims;
-    variants.reserve(n_variants);
+    const std::size_t n_variants = variants.size();
+    std::vector<std::unique_ptr<Simulator>> owned;
+    std::vector<Simulator *> sims;
+    owned.reserve(n_variants);
     sims.reserve(n_variants);
     bool want_blocks = false;
-    for (std::size_t k = first; k < unit.size(); ++k) {
-        variants.push_back(&scenarios[unit[k]]);
-        sims.push_back(
-            std::make_unique<Simulator>(variants.back()->config));
-        c_builds.add(1);
+    for (const Scenario *variant : variants) {
+        if (lead && sims.empty()) {
+            sims.push_back(lead);
+        } else {
+            owned.push_back(std::make_unique<Simulator>(variant->config));
+            c_builds.add(1);
+            sims.push_back(owned.back().get());
+        }
         // The thermal trace march consumes per-block splits.
-        want_blocks |= variants.back()->config.thermal.enabled;
+        want_blocks |= variant->config.thermal.enabled;
     }
-    std::vector<const power::CompiledPowerModel *> models;
-    models.reserve(n_variants);
-    for (const auto &sim : sims)
-        models.push_back(&sim->powerModel().compiled());
-    power::BatchedPowerEvaluator evaluator(std::move(models));
+
+    std::unique_ptr<power::BatchedPowerEvaluator> evaluator;
+    if (snapshot.with_trace) {
+        std::vector<const power::CompiledPowerModel *> models;
+        models.reserve(n_variants);
+        for (const Simulator *sim : sims)
+            models.push_back(&sim->powerModel().compiled());
+        evaluator = std::make_unique<power::BatchedPowerEvaluator>(
+            std::move(models));
+    }
 
     std::vector<ScenarioResult> results(n_variants);
     for (std::size_t j = 0; j < n_variants; ++j) {
@@ -132,13 +118,14 @@ replayGroup(const SimulationEngine &engine,
     std::vector<const perf::ChipActivity *> acts;
     std::vector<power::BatchedKernelPower> pre;
     for (const KernelSnapshot &snap : snapshot.kernels) {
-        bool use_batch = snap.with_trace && !snap.samples.empty();
+        bool use_batch =
+            evaluator && snap.with_trace && !snap.samples.empty();
         if (use_batch) {
             acts.clear();
             acts.reserve(snap.samples.size());
             for (const ActivitySample &a : snap.samples)
                 acts.push_back(&a.delta);
-            evaluator.evaluate(acts, want_blocks, batch_ws, pre);
+            evaluator->evaluate(acts, want_blocks, batch_ws, pre);
         }
         for (std::size_t j = 0; j < n_variants; ++j) {
             accumulateKernel(
@@ -151,14 +138,12 @@ replayGroup(const SimulationEngine &engine,
     for (std::size_t j = 0; j < n_variants; ++j) {
         finalizeScenario(results[j], *sims[j]);
         // Verification reads device memory — a timing-phase output
-        // the snapshot already carries (same as replayScenario).
+        // the snapshot already carries.
         results[j].verified = true;
         if (variants[j]->verify && !results[j].kernels.empty())
             results[j].verified = snapshot.verified;
-        publish(std::move(results[j]));
-        replayed.fetch_add(1);
-        c_replayed.add(1);
     }
+    return results;
 }
 
 } // namespace
@@ -200,18 +185,11 @@ SimulationEngine::runScenario(const Scenario &scenario) const
 
 ScenarioResult
 SimulationEngine::runScenario(const Scenario &scenario,
-                              Simulator &simulator) const
-{
-    return runScenario(scenario, simulator, nullptr);
-}
-
-ScenarioResult
-SimulationEngine::runScenario(const Scenario &scenario,
                               Simulator &simulator,
                               ActivitySnapshot *capture) const
 {
-    // A governed scenario cannot be replayed, so capturing one would
-    // only poison the cache; drop the request instead.
+    // A governed scenario cannot be replayed, so a snapshot of it
+    // would only poison the store; drop the request instead.
     if (capture && !scenario.replayable())
         capture = nullptr;
 
@@ -235,8 +213,8 @@ SimulationEngine::runScenario(const Scenario &scenario,
         KernelRun run;
         if (capture) {
             // Two-phase explicitly: the captured snapshot feeds the
-            // same replay the cache hits will take, so a memoized
-            // result is bit-identical by construction.
+            // same replay its group's variants will take, so a
+            // memoized result is bit-identical by construction.
             KernelSnapshot snap = simulator.capturePerf(
                 kl.prog, kl.launch, _options.with_trace,
                 _options.sample_interval_s);
@@ -267,20 +245,10 @@ SimulationEngine::replayScenario(const Scenario &scenario,
                                  const ActivitySnapshot &snapshot,
                                  Simulator &simulator) const
 {
-    ScenarioResult result;
-    result.scenario = scenario;
-    result.kernels.reserve(snapshot.kernels.size());
-    result.min_freq_scale = scenario.config.clocks.freq_scale;
-    for (const KernelSnapshot &snap : snapshot.kernels)
-        accumulateKernel(result, snap.label, snap.repeatable,
-                         simulator.replayKernel(snap));
-    finalizeScenario(result, simulator);
-    // Verification reads device memory — a timing-phase output the
-    // snapshot already carries.
-    result.verified = true;
-    if (scenario.verify && !result.kernels.empty())
-        result.verified = snapshot.verified;
-    return result;
+    power::BatchedPowerEvaluator::Workspace batch_ws;
+    return std::move(
+        replayVariants({&scenario}, snapshot, &simulator, batch_ws)
+            .front());
 }
 
 SweepResult
@@ -304,16 +272,6 @@ SimulationEngine::run(const SweepSpec &spec) const
     obs::Counter &c_governed = reg.counter(
         "engine/scenarios_governed",
         "scenarios pinned to full simulation by the governor");
-    obs::Counter &c_cache_hit = reg.counter(
-        "engine/snapshot_cache_hit",
-        "ungrouped-schedule snapshot cache hits");
-    obs::Counter &c_cache_miss = reg.counter(
-        "engine/snapshot_cache_miss",
-        "ungrouped-schedule snapshot cache misses");
-    obs::Counter &c_insert_race = reg.counter(
-        "engine/snapshot_cache_insert_race",
-        "snapshot captures discarded because another worker "
-        "published the key first");
     obs::Counter &c_batch_groups = reg.counter(
         "engine/batch_groups",
         "batched replay groups (work units with replay members)");
@@ -330,7 +288,7 @@ SimulationEngine::run(const SweepSpec &spec) const
         "worker lifetime not spent inside work units");
     obs::Histogram &h_group_size = reg.histogram(
         "engine/batch_group_size",
-        "work-unit sizes of the grouped (batch replay) schedule");
+        "work-unit sizes of the grouped replay schedule");
 
     // Telemetry meters its own window of the process-wide registry.
     const obs::MetricsSnapshot metrics_before = reg.snapshot();
@@ -350,44 +308,34 @@ SimulationEngine::run(const SweepSpec &spec) const
             ++governed;
     c_governed.add(governed);
 
-    // Work units the pool pulls from. With batched group replay each
+    // Work units the pool pulls from. With memoization each
     // timing-unique Scenario::snapshotKey() becomes one unit: its
-    // first scenario captures the snapshot, every other member
-    // replays through the batched matrix evaluator. Otherwise every
-    // scenario is its own unit and memoization (when on) goes
-    // through the cross-worker snapshot cache below. Grouping also
-    // removes that cache's duplicated-capture race: exactly one
-    // worker ever simulates a key.
-    const bool grouped = _options.memoize && _options.batch_replay;
+    // first scenario captures the snapshot (or the external source
+    // supplies it), every other member replays through the batched
+    // matrix evaluator. Exactly one worker ever simulates a key.
+    // Governed scenarios, and every scenario of an unmemoized run,
+    // are units of their own.
     std::vector<std::vector<std::size_t>> units;
     units.reserve(total);
-    if (grouped) {
-        // lint: unordered-ok(lookup/emplace only, never iterated;
-        // unit membership order comes from the ascending scenario
-        // index loop below, so hash order cannot reach results)
-        std::unordered_map<std::string, std::size_t> unit_of;
-        for (std::size_t i = 0; i < total; ++i) {
-            if (!scenarios[i].replayable()) {
-                units.push_back({i});
-                continue;
-            }
-            auto ins = unit_of.emplace(scenarios[i].snapshotKey(),
-                                       units.size());
-            if (ins.second)
-                units.emplace_back();
-            units[ins.first->second].push_back(i);
-        }
-    } else {
-        for (std::size_t i = 0; i < total; ++i)
+    // lint: unordered-ok(lookup/emplace only, never iterated; unit
+    // membership order comes from the ascending scenario index loop
+    // below, so hash order cannot reach results)
+    std::unordered_map<std::string, std::size_t> unit_of;
+    for (std::size_t i = 0; i < total; ++i) {
+        if (!_options.memoize || !scenarios[i].replayable()) {
             units.push_back({i});
-    }
-
-    if (grouped) {
-        for (const auto &unit : units) {
-            h_group_size.record(unit.size());
-            if (unit.size() > 1)
-                c_batch_groups.add(1);
+            continue;
         }
+        auto ins =
+            unit_of.emplace(scenarios[i].snapshotKey(), units.size());
+        if (ins.second)
+            units.emplace_back();
+        units[ins.first->second].push_back(i);
+    }
+    for (const auto &unit : units) {
+        h_group_size.record(unit.size());
+        if (unit.size() > 1)
+            c_batch_groups.add(1);
     }
 
     unsigned workers = _jobs;
@@ -399,23 +347,6 @@ SimulationEngine::run(const SweepSpec &spec) const
     std::atomic<std::size_t> replayed{0};
     std::atomic<std::size_t> captured{0};
     std::mutex progress_mutex;
-
-    // Cross-worker snapshot cache for the ungrouped schedule, scoped
-    // to this run (engine options are uniform within it, so
-    // with_trace/sampling never split the key). The first scenario
-    // of each snapshotKey() publishes its phase-1 snapshot; everyone
-    // after replays it. Two workers racing on the same key both
-    // simulate — wasted work, never wrong — and the first insert
-    // wins. shared_ptr<const> lets replayers read while the map
-    // keeps growing. Unused when grouping already made each key a
-    // single unit.
-    std::mutex snapshot_mutex;
-    // lint: unordered-ok(per-key find/emplace only, never iterated;
-    // results publish into index-addressed SweepResult slots, so the
-    // cache's hash order cannot reach output ordering)
-    std::unordered_map<std::string,
-                       std::shared_ptr<const ActivitySnapshot>>
-        snapshots;
 
     // First-by-index exception: deterministic regardless of which
     // worker hit it or how completion interleaved.
@@ -435,7 +366,9 @@ SimulationEngine::run(const SweepSpec &spec) const
         // architecture, node retarget, and operating point. Scenario
         // order is workload-innermost, so workload-only stretches
         // share one fingerprint and the worker keeps its Simulator —
-        // and with it the power model — alive across them.
+        // and with it the power model — alive across them. Device
+        // state is reset between scenarios, so a recycled Simulator
+        // is observationally identical to a fresh one.
         std::unique_ptr<Simulator> cached;
         std::string cached_fp;
         // Reusable batched-evaluation scratch, shared by every group
@@ -443,22 +376,15 @@ SimulationEngine::run(const SweepSpec &spec) const
         power::BatchedPowerEvaluator::Workspace batch_ws;
 
         auto acquire = [&](const Scenario &scenario) -> Simulator & {
-            if (_options.reuse_simulators) {
-                std::string fp = scenario.config.toXml();
-                if (cached && cached_fp == fp) {
-                    cached->recycle();
-                    c_recycles.add(1);
-                } else {
-                    cached =
-                        std::make_unique<Simulator>(scenario.config);
-                    c_builds.add(1);
-                }
-                cached_fp = std::move(fp);
+            std::string fp = scenario.config.toXml();
+            if (cached && cached_fp == fp) {
+                cached->recycle();
+                c_recycles.add(1);
             } else {
                 cached = std::make_unique<Simulator>(scenario.config);
                 c_builds.add(1);
-                cached_fp.clear();
             }
+            cached_fp = std::move(fp);
             return *cached;
         };
 
@@ -488,139 +414,65 @@ SimulationEngine::run(const SweepSpec &spec) const
                 }
             };
             try {
-                const bool hooked = static_cast<bool>(
-                    _options.snapshot_source || _options.snapshot_sink);
-                if (unit.size() > 1 ||
-                    (grouped && hooked &&
-                     scenarios[unit.front()].replayable())) {
+                const Scenario &first = scenarios[unit.front()];
+                if (!_options.memoize || !first.replayable()) {
+                    GSP_TRACE_SPAN("engine/scenario");
+                    publish(runScenario(first, acquire(first)));
+                } else {
                     // One snapshot serves the whole unit: either the
-                    // external source already has one for this key
-                    // (then every member replays, zero timing cost),
-                    // or the unit's first scenario captures it and
-                    // the power-only variants batch-replay. Singleton
-                    // replayable units take this path too when hooks
-                    // are set, so the store sees every key.
+                    // external source already has one for this key (then
+                    // every member replays, zero timing cost), or the
+                    // unit's first scenario captures it and the rest
+                    // replay.
                     GSP_TRACE_SPAN("engine/batch_group");
-                    const Scenario &first = scenarios[unit.front()];
-
-                    std::shared_ptr<const ActivitySnapshot> external;
+                    std::shared_ptr<const ActivitySnapshot> snapshot;
                     if (_options.snapshot_source)
-                        external = _options.snapshot_source(first);
-                    if (external) {
+                        snapshot = _options.snapshot_source(first);
+                    std::size_t replay_from = 0;
+                    if (!snapshot) {
+                        auto captured_snap =
+                            std::make_shared<ActivitySnapshot>();
+                        try {
+                            GSP_TRACE_SPAN("engine/capture");
+                            publish(runScenario(first, acquire(first),
+                                                captured_snap.get()));
+                        } catch (...) {
+                            // A source that registered in-flight state on
+                            // the miss must be released, or waiters on
+                            // this key would block forever.
+                            if (_options.snapshot_sink)
+                                _options.snapshot_sink(first, nullptr);
+                            throw;
+                        }
+                        captured.fetch_add(1);
+                        c_captured.add(1);
+                        // Persist before replaying the variants so other
+                        // jobs waiting on this key unblock immediately.
+                        if (_options.snapshot_sink)
+                            _options.snapshot_sink(first, captured_snap);
+                        snapshot = std::move(captured_snap);
+                        replay_from = 1;
+                    }
+                    if (replay_from < unit.size()) {
                         GSP_TRACE_SPAN("engine/replay");
-                        if (unit.size() == 1) {
-                            publish(replayScenario(first, *external,
-                                                   acquire(first)));
+                        std::vector<const Scenario *> variants;
+                        variants.reserve(unit.size() - replay_from);
+                        for (std::size_t k = replay_from; k < unit.size();
+                             ++k)
+                            variants.push_back(&scenarios[unit[k]]);
+                        // The worker's Simulator is free unless it just
+                        // ran the capture; the captured config is the one
+                        // the next unit most likely starts with.
+                        Simulator *lead =
+                            replay_from == 0 ? &acquire(first) : nullptr;
+                        for (ScenarioResult &result : replayVariants(
+                                 variants, *snapshot, lead, batch_ws)) {
+                            publish(std::move(result));
                             replayed.fetch_add(1);
                             c_replayed.add(1);
-                        } else {
-                            replayGroup(*this, scenarios, unit, 0,
-                                        *external, batch_ws, publish,
-                                        replayed);
-                        }
-                        busy_ns += obs::monotonicNs() - t_unit0;
-                        continue;
-                    }
-
-                    auto captured_snap =
-                        std::make_shared<ActivitySnapshot>();
-                    try {
-                        GSP_TRACE_SPAN("engine/capture");
-                        publish(runScenario(first, acquire(first),
-                                            captured_snap.get()));
-                    } catch (...) {
-                        // A source that registered in-flight state on
-                        // the miss must be released, or waiters on
-                        // this key would block forever.
-                        if (_options.snapshot_sink)
-                            _options.snapshot_sink(first, nullptr);
-                        throw;
-                    }
-                    captured.fetch_add(1);
-                    c_captured.add(1);
-                    // Persist before replaying the variants so other
-                    // jobs waiting on this key unblock immediately.
-                    if (_options.snapshot_sink)
-                        _options.snapshot_sink(first, captured_snap);
-                    if (unit.size() > 1) {
-                        GSP_TRACE_SPAN("engine/replay");
-                        replayGroup(*this, scenarios, unit, 1,
-                                    *captured_snap, batch_ws, publish,
-                                    replayed);
-                    }
-                    busy_ns += obs::monotonicNs() - t_unit0;
-                    continue;
-                }
-
-                GSP_TRACE_SPAN("engine/scenario");
-                const Scenario &scenario = scenarios[unit.front()];
-                // Memoization first: a cache hit skips the timing
-                // run entirely.
-                std::string key;
-                std::shared_ptr<const ActivitySnapshot> snapshot;
-                if (!grouped && _options.memoize &&
-                    scenario.replayable()) {
-                    key = scenario.snapshotKey();
-                    {
-                        std::lock_guard<std::mutex> lock(
-                            snapshot_mutex);
-                        auto it = snapshots.find(key);
-                        if (it != snapshots.end())
-                            snapshot = it->second;
-                        (snapshot ? c_cache_hit : c_cache_miss).add(1);
-                    }
-                    // In-run miss: ask the external source (outside
-                    // the cache mutex — the call may block) and seed
-                    // the run cache with what it returns.
-                    if (!snapshot && _options.snapshot_source) {
-                        snapshot = _options.snapshot_source(scenario);
-                        if (snapshot) {
-                            std::lock_guard<std::mutex> lock(
-                                snapshot_mutex);
-                            snapshots.emplace(key, snapshot);
                         }
                     }
                 }
-
-                ScenarioResult result;
-                if (snapshot) {
-                    GSP_TRACE_SPAN("engine/replay");
-                    result = replayScenario(scenario, *snapshot,
-                                            acquire(scenario));
-                    replayed.fetch_add(1);
-                    c_replayed.add(1);
-                } else if (!key.empty()) {
-                    auto captured_snap =
-                        std::make_shared<ActivitySnapshot>();
-                    // acquire() inside the try: once the source has
-                    // declined, a claim may be held, and even a
-                    // Simulator construction failure must release it.
-                    try {
-                        GSP_TRACE_SPAN("engine/capture");
-                        result = runScenario(scenario,
-                                             acquire(scenario),
-                                             captured_snap.get());
-                    } catch (...) {
-                        // Release the source's in-flight claim.
-                        if (_options.snapshot_sink)
-                            _options.snapshot_sink(scenario, nullptr);
-                        throw;
-                    }
-                    captured.fetch_add(1);
-                    c_captured.add(1);
-                    if (_options.snapshot_sink)
-                        _options.snapshot_sink(scenario,
-                                               captured_snap);
-                    std::lock_guard<std::mutex> lock(snapshot_mutex);
-                    if (!snapshots
-                             .emplace(key, std::move(captured_snap))
-                             .second)
-                        c_insert_race.add(1);
-                } else {
-                    result = runScenario(scenario, acquire(scenario),
-                                         nullptr);
-                }
-                publish(std::move(result));
             } catch (...) {
                 // The failed run may have left the Simulator mid-
                 // kernel; never recycle it into another scenario.

@@ -17,19 +17,18 @@
  * of once per scenario. Device state is reset between scenarios, so
  * reuse is observationally identical to a fresh Simulator.
  *
- * On top of that sits the two-phase memoization: the first scenario
- * of each Scenario::snapshotKey() runs timing and publishes its
- * ActivitySnapshot into a cross-worker cache; every later scenario
- * that differs only in power-only axes (process node, vdd_scale,
- * cooling) replays the power phase from that snapshot — bit-identical
- * to a full run, minus the entire timing simulation.
- *
- * With batch_replay (the default) the memoized variants of one
- * snapshot key are scheduled as a single work unit and their traced
- * intervals are evaluated together through the batched matrix
- * evaluator — many intervals x many power variants per pass — which
- * also removes the legacy cache's duplicated-capture race between
- * workers that start the same key concurrently.
+ * On top of that sits the two-phase memoization, the engine's one
+ * schedule: scenarios are grouped by Scenario::snapshotKey() into
+ * work units, the first scenario of each unit runs timing and
+ * captures its ActivitySnapshot, and every other member — differing
+ * only in power-only axes (process node, vdd_scale, cooling) —
+ * replays the power phase from it, its traced intervals evaluated
+ * together with the other members' through the batched matrix
+ * evaluator (many intervals x many power variants per pass).
+ * Bit-identical to a full run, minus the timing simulation; exactly
+ * one worker ever simulates a key. Throttle-governed scenarios, and
+ * every scenario under memoize == false (the oracle the grouped
+ * schedule is tested against), run in full on their own.
  */
 
 #ifndef GPUSIMPOW_SIM_ENGINE_HH
@@ -69,39 +68,17 @@ struct EngineOptions
     /** Trace sampling period, s. */
     double sample_interval_s = 20e-6;
     /**
-     * Recycle a worker's Simulator (and with it the expensive power
-     * model) across scenarios whose (config, node, operating point)
-     * fingerprints are identical, instead of rebuilding it per
-     * scenario. Results are bit-identical either way — the knob
-     * exists for benchmarking the rebuild cost (bench_sweep_throughput)
-     * and as an escape hatch.
-     */
-    bool reuse_simulators = true;
-    /**
-     * Memoize phase-1 activity snapshots across scenarios (and
-     * workers): a scenario whose Scenario::snapshotKey() has already
-     * been simulated in this run replays its power phase from the
-     * cached snapshot instead of re-running timing — the
-     * order-of-magnitude lever on sweeps over the power-only axes
-     * (process node, vdd_scale, cooling). Scenarios under a
-     * throttling governor always fall back to full simulation
-     * (power-to-timing feedback). Results are bit-identical either
-     * way; `gpusimpow --sweep --no-memo` is the CLI escape hatch.
+     * Memoize phase-1 activity snapshots: scenarios sharing a
+     * Scenario::snapshotKey() form one work unit whose first scenario
+     * runs timing while the rest replay its snapshot through the
+     * batched power evaluator — the order-of-magnitude lever on
+     * sweeps over the power-only axes (process node, vdd_scale,
+     * cooling). Scenarios under a throttling governor always fall
+     * back to full simulation (power-to-timing feedback). Results
+     * are bit-identical either way; `gpusimpow --sweep --no-memo` is
+     * the CLI escape hatch and memoize == false the tests' oracle.
      */
     bool memoize = true;
-    /**
-     * Replay all memoized power-only variants of a timing-unique
-     * snapshot together: the engine groups scenarios by
-     * Scenario::snapshotKey(), the first scenario of each group runs
-     * timing once, and the rest evaluate their traced intervals
-     * through the batched matrix evaluator (power/batched.hh) in one
-     * pass instead of re-walking the scalar per-interval loop per
-     * variant. Only scheduling and throughput change — every result
-     * is bit-identical with the knob on or off (the batched
-     * evaluator's contract, asserted by test_batched_power). Ignored
-     * unless memoize is also set.
-     */
-    bool batch_replay = true;
     /**
      * Called after each scenario finishes (from worker threads, but
      * serialized by the engine): finished result, completed count,
@@ -145,17 +122,7 @@ struct EngineOptions
         sample_interval_s = interval_s;
         return *this;
     }
-    EngineOptions &withReuseSimulators(bool on)
-    {
-        reuse_simulators = on;
-        return *this;
-    }
     EngineOptions &withMemoize(bool on) { memoize = on; return *this; }
-    EngineOptions &withBatchReplay(bool on)
-    {
-        batch_replay = on;
-        return *this;
-    }
     EngineOptions &withProgress(
         std::function<void(const ScenarioResult &, std::size_t,
                            std::size_t)> fn)
@@ -199,27 +166,22 @@ class SimulationEngine
     SweepResult run(const SweepSpec &spec) const;
 
     /**
-     * Execute one scenario on the calling thread. Exposed so tests
-     * and tools can compare single-scenario runs against sweep rows.
+     * Execute one scenario on the calling thread, on a freshly built
+     * Simulator. Exposed so tests and tools can compare
+     * single-scenario runs against sweep rows.
      */
     ScenarioResult runScenario(const Scenario &scenario) const;
 
     /**
-     * Execute one scenario on a caller-provided Simulator that was
-     * built from an identical configuration (the reuse fast path).
-     */
-    ScenarioResult runScenario(const Scenario &scenario,
-                               Simulator &simulator) const;
-
-    /**
-     * Execute one scenario, additionally capturing its phase-1
-     * activity snapshot for later replay. The scenario must be
-     * replayable(); capture == nullptr behaves like plain
-     * runScenario().
+     * Execute one scenario on a caller-provided Simulator built from
+     * an identical configuration (recycled between scenarios),
+     * additionally capturing its phase-1 activity snapshot for later
+     * replay when capture is non-null. A governed (non-replayable)
+     * scenario ignores the capture request.
      */
     ScenarioResult runScenario(const Scenario &scenario,
                                Simulator &simulator,
-                               ActivitySnapshot *capture) const;
+                               ActivitySnapshot *capture = nullptr) const;
 
     /**
      * Execute one scenario's power phase from a phase-1 snapshot

@@ -13,6 +13,30 @@
 
 using namespace gpusimpow;
 
+namespace {
+
+/** Dumped configuration XML with one parameter of one section
+ *  rewritten, the way a user would edit --dump-config output. */
+std::string
+withParam(const std::string &xml, const std::string &section,
+          const std::string &field, const std::string &value)
+{
+    std::size_t begin = xml.find("<" + section + ">");
+    std::size_t end = xml.find("</" + section + ">", begin);
+    const std::string key = "<param name=\"" + field + "\" value=\"";
+    std::size_t at = xml.find(key, begin);
+    if (begin == std::string::npos || at == std::string::npos ||
+        at > end) {
+        ADD_FAILURE() << section << "." << field << " not in the dump";
+        return xml;
+    }
+    at += key.size();
+    std::size_t close = xml.find('"', at);
+    return xml.substr(0, at) + value + xml.substr(close);
+}
+
+} // namespace
+
 TEST(GpuConfig, Gt240MatchesTableII)
 {
     GpuConfig c = GpuConfig::gt240();
@@ -109,6 +133,32 @@ TEST(GpuConfig, ValidationCatchesBadGeometry)
     c = GpuConfig::gt240();
     c.core.sched_policy = "magic";
     EXPECT_THROW(GpuConfig::fromXml(c.toXml()), FatalError);
+}
+
+TEST(GpuConfig, ValidationRejectsZeroTimingDivisors)
+{
+    // Each of these is a divisor or set count of the timing model: a
+    // zero used to crash the first capture (SIGFPE or an assertion
+    // abort) instead of failing the configuration.
+    const std::string dump = GpuConfig::gt240().toXml();
+    EXPECT_NO_THROW(GpuConfig::fromXml(dump));
+    const char *fields[][2] = {
+        {"core", "regfile_banks"}, {"core", "sagu_count"},
+        {"dram", "burst_length"},  {"core", "ibuffer_slots"},
+        {"core", "icache_assoc"},  {"dram", "banks"},
+        {"core", "line_bytes"},
+    };
+    for (const auto &f : fields) {
+        const std::string name = std::string(f[0]) + "." + f[1];
+        try {
+            GpuConfig::fromXml(withParam(dump, f[0], f[1], "0"));
+            ADD_FAILURE() << name << " = 0 was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(name),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(GpuConfig, ValidationRejectsWarpSizeAbove64)

@@ -2,13 +2,13 @@
  * @file
  * Concurrency stress tests of the sweep engine, written to be run
  * under ThreadSanitizer (the CI tsan job builds exactly this suite).
- * They hammer the three pieces of cross-worker shared state:
+ * They hammer the engine's cross-worker shared state:
  *
- *   - the memoized snapshot cache (cross-worker map of
- *     ActivitySnapshots keyed on Scenario::snapshotKey()),
- *   - batch-replay grouping (one timing run fanning out into many
- *     batched power evaluations),
+ *   - the grouped replay schedule (work units keyed on
+ *     Scenario::snapshotKey(), pulled from one atomic cursor; each
+ *     timing run fans out into many batched power evaluations),
  *   - progress accounting (serialized callback, done/total counters),
+ *   - the index-addressed result table and first-by-index error slot,
  *
  * using sweeps that mix replayable scenarios with governed (thermal
  * throttling) ones, so both the replay fast path and the
@@ -70,13 +70,11 @@ replaySweep()
 }
 
 SweepResult
-runWith(const SweepSpec &spec, unsigned jobs, bool memoize = true,
-        bool batch_replay = true)
+runWith(const SweepSpec &spec, unsigned jobs, bool memoize = true)
 {
     EngineOptions opt;
     opt.jobs = jobs;
     opt.memoize = memoize;
-    opt.batch_replay = batch_replay;
     return SimulationEngine(opt).run(spec);
 }
 
@@ -154,11 +152,11 @@ TEST(EngineStress, MixedSweepIsDeterministicAcrossWorkerCounts)
     EXPECT_EQ(serial.replayedScenarios(), expectedReplays(spec));
 }
 
-TEST(EngineStress, SnapshotCacheContentionKeepsReplayCountExact)
+TEST(EngineStress, GroupedReplayContentionKeepsReplayCountExact)
 {
     // High fan-out (3 variants per key) with 8 workers racing on the
-    // snapshot cache: grouping must still yield exactly one timing
-    // run per key and bit-identical rows.
+    // shared unit cursor: grouping must still yield exactly one
+    // timing run per key and bit-identical rows.
     SweepSpec spec = replaySweep();
     SweepResult serial = runWith(spec, 1);
     for (int repeat = 0; repeat < 3; ++repeat) {
@@ -169,19 +167,15 @@ TEST(EngineStress, SnapshotCacheContentionKeepsReplayCountExact)
     }
 }
 
-TEST(EngineStress, MemoizeAndBatchKnobsAreBitIdenticalUnderContention)
+TEST(EngineStress, MemoizedMatchesUnmemoizedUnderContention)
 {
     SweepSpec spec = mixedSweep();
-    SweepResult batched = runWith(spec, 8, true, true);
-    SweepResult legacy = runWith(spec, 8, true, false);
-    SweepResult unmemoized = runWith(spec, 8, false, false);
+    SweepResult memoized = runWith(spec, 8, true);
+    SweepResult unmemoized = runWith(spec, 8, false);
 
-    expectBitIdentical(batched, legacy, "batch_replay off");
-    expectBitIdentical(batched, unmemoized, "memoize off");
+    expectBitIdentical(memoized, unmemoized, "memoize off");
+    EXPECT_EQ(memoized.replayedScenarios(), expectedReplays(spec));
     EXPECT_EQ(unmemoized.replayedScenarios(), 0u);
-    // The legacy per-scenario cache may lose replays when two workers
-    // start the same key concurrently, but it can never invent them.
-    EXPECT_LE(legacy.replayedScenarios(), expectedReplays(spec));
 }
 
 TEST(EngineStress, ProgressAccountingSurvivesContention)
@@ -214,8 +208,8 @@ TEST(EngineStress, ProgressAccountingSurvivesContention)
 TEST(EngineStress, ConcurrentEnginesDoNotShareState)
 {
     // Two independent engines sweeping concurrently from different
-    // threads: snapshot caches are per-run, so nothing may bleed
-    // between them (also exercises the lazily-initialized kernel
+    // threads: work units and results are per-run, so nothing may
+    // bleed between them (also exercises the lazily-initialized kernel
     // dispatch and logging singletons from multiple pools at once).
     SweepSpec spec;
     spec.configs = {GpuConfig::gt240()};

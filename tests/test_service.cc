@@ -18,6 +18,7 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
+#include "config/gpu_config.hh"
 #include "service/client.hh"
 #include "service/server.hh"
 #include "sim/engine.hh"
@@ -229,6 +230,35 @@ TEST(Service, BadRequestGetsAnErrorFrame)
     // a good job afterwards.
     SweepClient::JobResult retry = client.submitJob(smallRequest());
     EXPECT_TRUE(retry.ok) << retry.error;
+}
+
+TEST(Service, ZeroTimingDivisorConfigGetsAnErrorFrame)
+{
+    // burst_length = 0 used to reach the DRAM model and kill the
+    // whole server with SIGFPE; validation must turn it into an
+    // error frame naming the field, and the server must keep serving.
+    ScopedServer server(
+        std::make_shared<SweepSession>(EngineOptions().withJobs(1)));
+
+    GpuConfig bad_cfg = GpuConfig::gt240();
+    bad_cfg.dram.burst_length = 0;
+    SweepRequest bad = smallRequest();
+    bad.config_xml = bad_cfg.toXml();
+    SweepRequest good = smallRequest();
+    good.config_xml = GpuConfig::gt240().toXml();
+
+    SweepClient client("127.0.0.1", server.port());
+    SweepClient::JobResult rejected = client.submitJob(bad);
+    EXPECT_FALSE(rejected.ok);
+    EXPECT_NE(rejected.error.find("dram.burst_length"),
+              std::string::npos)
+        << rejected.error;
+
+    SweepClient::JobResult served = client.submitJob(good);
+    ASSERT_TRUE(served.ok) << served.error;
+    EXPECT_EQ(served.rows, 2u);
+    SweepSession local(EngineOptions().withJobs(1));
+    EXPECT_EQ(served.table, local.submit(good.toSpec()).formatTable());
 }
 
 TEST(Service, ShutdownIsAcknowledgedAndStopsTheServer)

@@ -122,13 +122,12 @@ powerAxesSweep()
 
 SweepResult
 runSweep(const SweepSpec &spec, unsigned jobs, bool memoize,
-         bool with_trace = false, bool batch_replay = true)
+         bool with_trace = false)
 {
     EngineOptions opt;
     opt.jobs = jobs;
     opt.memoize = memoize;
     opt.with_trace = with_trace;
-    opt.batch_replay = batch_replay;
     return SimulationEngine(opt).run(spec);
 }
 
@@ -618,48 +617,40 @@ TEST(Engine, MemoizedSweepWithTracesBitIdentical)
     expectSweepsEqual(memo, full);
 }
 
-TEST(Engine, BatchedReplayBitIdenticalOnAndOff)
+TEST(Engine, BatchedReplayBitIdenticalToUnmemoized)
 {
-    // batch_replay changes scheduling and the evaluator (grouped
-    // units + matrix kernels vs. the per-scenario memo cache), but
-    // every published number must stay byte-identical, at one worker
-    // and at several.
+    // The grouped schedule (one capture per snapshot key, the other
+    // members replayed through the batched matrix evaluator) must
+    // publish byte-identical numbers to the unmemoized oracle, at one
+    // worker and at several.
     SweepSpec spec = powerAxesSweep();
-    SweepResult on1 = runSweep(spec, 1, true, /*with_trace=*/true,
-                               /*batch_replay=*/true);
-    SweepResult off1 = runSweep(spec, 1, true, /*with_trace=*/true,
-                                /*batch_replay=*/false);
-    EXPECT_EQ(on1.replayedScenarios(), spec.size() - 2);
-    EXPECT_EQ(off1.replayedScenarios(), spec.size() - 2);
-    expectSweepsEqual(on1, off1);
-
-    SweepResult on4 = runSweep(spec, 4, true, /*with_trace=*/true,
-                               /*batch_replay=*/true);
-    SweepResult off4 = runSweep(spec, 4, true, /*with_trace=*/true,
-                                /*batch_replay=*/false);
-    EXPECT_EQ(on4.replayedScenarios(), spec.size() - 2);
-    expectSweepsEqual(on1, on4);
-    expectSweepsEqual(on4, off4);
+    SweepResult full = runSweep(spec, 1, false, /*with_trace=*/true);
+    SweepResult memo1 = runSweep(spec, 1, true, /*with_trace=*/true);
+    SweepResult memo4 = runSweep(spec, 4, true, /*with_trace=*/true);
+    EXPECT_EQ(full.replayedScenarios(), 0u);
+    EXPECT_EQ(memo1.replayedScenarios(), spec.size() - 2);
+    EXPECT_EQ(memo4.replayedScenarios(), spec.size() - 2);
+    expectSweepsEqual(memo1, full);
+    expectSweepsEqual(memo4, full);
 }
 
 TEST(Engine, BatchedReplayNonThermalTracesBitIdentical)
 {
     // No cooling axis -> thermal disabled: exercises the batched
-    // dynamic/dram trace path rather than the per-block march.
+    // dynamic/dram trace path rather than the per-block march, on
+    // the group's replays and (self-batched) on its capture alike.
     SweepSpec spec;
     spec.configs = {GpuConfig::gt240()};
     spec.tech_nodes = {40u, 28u};
     spec.operating_points = OperatingPoint::parseList("0.9:1,1:1");
     spec.workloads = {"vectoradd"};
-    SweepResult on = runSweep(spec, 1, true, /*with_trace=*/true,
-                              /*batch_replay=*/true);
-    SweepResult off = runSweep(spec, 1, true, /*with_trace=*/true,
-                               /*batch_replay=*/false);
+    SweepResult memo = runSweep(spec, 1, true, /*with_trace=*/true);
+    SweepResult full = runSweep(spec, 1, false, /*with_trace=*/true);
     // 4 scenarios (2 nodes x 2 vdd points) share one timing key.
-    EXPECT_EQ(on.replayedScenarios(), 3u);
-    ASSERT_FALSE(on.at(0).kernels.empty());
-    EXPECT_FALSE(on.at(0).kernels[0].run.trace.empty());
-    expectSweepsEqual(on, off);
+    EXPECT_EQ(memo.replayedScenarios(), 3u);
+    ASSERT_FALSE(memo.at(0).kernels.empty());
+    EXPECT_FALSE(memo.at(0).kernels[0].run.trace.empty());
+    expectSweepsEqual(memo, full);
 }
 
 TEST(Engine, FreqScaleScenariosNeverShareSnapshots)
