@@ -66,6 +66,32 @@ BM_CaptureIssueSparse(benchmark::State &state)
 BENCHMARK(BM_CaptureIssueSparse)->Name("capture/issue_sparse")->Arg(200);
 
 void
+BM_CaptureIssueDense(benchmark::State &state)
+{
+    // Timing capture of an issue-dense kernel shaped like mergeSort3:
+    // 8-lane guarded LFSR bodies under full-lane loop control, so the
+    // cores issue nearly every cycle and functional execution
+    // dominates — the issue-dense regime of the cold sweep.
+    GpuConfig cfg = GpuConfig::gt240();
+    Simulator sim(cfg);
+    uint32_t sink = sim.gpu().allocator().alloc(64 * 1024);
+    perf::KernelProgram prog = workloads::makeIntMicrobench(
+        static_cast<unsigned>(state.range(0)), 8, sink);
+    perf::LaunchConfig lc;
+    lc.grid = {2 * cfg.numCores(), 1};
+    lc.block = {256, 1};
+    uint64_t cycles = 0;
+    for (auto _ : state) {
+        KernelSnapshot snap = sim.capturePerf(prog, lc, false, 0.0);
+        cycles += snap.perf.cycles;
+        benchmark::DoNotOptimize(snap.perf.cycles);
+    }
+    state.counters["shader_cycles/s"] = benchmark::Counter(
+        static_cast<double>(cycles), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CaptureIssueDense)->Name("capture/issue_dense")->Arg(100);
+
+void
 BM_PowerModelEvaluate(benchmark::State &state)
 {
     GpuConfig cfg = GpuConfig::gt240();

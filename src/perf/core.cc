@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <type_traits>
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
@@ -53,6 +55,82 @@ rotate(uint64_t mask, unsigned base, unsigned n)
     return ((mask >> base) | (mask << (n - base))) & lowBits(n);
 }
 
+/** d[l] = f(a[l], b[l], c[l]) for every lane l set in `mask`. */
+template <typename F>
+void
+laneMap(uint64_t mask, uint32_t *d, const uint32_t *a, const uint32_t *b,
+        const uint32_t *c, F f)
+{
+    for (; mask; mask &= mask - 1) {
+        unsigned l = std::countr_zero(mask);
+        d[l] = f(a[l], b[l], c[l]);
+    }
+}
+
+/** d[l] = f(float a[l]) as bits, for every lane l set in `mask`. */
+template <typename F>
+void
+laneMapFloat(uint64_t mask, uint32_t *d, const uint32_t *a, F f)
+{
+    laneMap(mask, d, a, a, a, [f](uint32_t x, uint32_t, uint32_t) {
+        return asBits(f(asFloat(x)));
+    });
+}
+
+/** A 32-bit lane value read as the SETP operand type T. */
+template <typename T>
+T
+laneAs(uint32_t bits)
+{
+    if constexpr (std::is_same_v<T, float>)
+        return asFloat(bits);
+    else
+        return static_cast<T>(bits);
+}
+
+/** Lanes of `mask` for which cmp(a[l], b[l]) holds, compared as T. */
+template <typename T, typename C>
+uint64_t
+laneCompare(uint64_t mask, const uint32_t *a, const uint32_t *b, C cmp)
+{
+    uint64_t r = 0;
+    for (; mask; mask &= mask - 1) {
+        unsigned l = std::countr_zero(mask);
+        r |= static_cast<uint64_t>(cmp(laneAs<T>(a[l]), laneAs<T>(b[l])))
+             << l;
+    }
+    return r;
+}
+
+template <typename T>
+uint64_t
+compareMask(Cmp cmp, uint64_t mask, const uint32_t *a, const uint32_t *b)
+{
+    switch (cmp) {
+      case Cmp::EQ: return laneCompare<T>(mask, a, b, std::equal_to<T>());
+      case Cmp::NE:
+        return laneCompare<T>(mask, a, b, std::not_equal_to<T>());
+      case Cmp::LT: return laneCompare<T>(mask, a, b, std::less<T>());
+      case Cmp::LE:
+        return laneCompare<T>(mask, a, b, std::less_equal<T>());
+      case Cmp::GT: return laneCompare<T>(mask, a, b, std::greater<T>());
+      case Cmp::GE:
+        return laneCompare<T>(mask, a, b, std::greater_equal<T>());
+    }
+    return 0;
+}
+
+/** Lane values of an operand the instruction leaves unset. */
+constexpr uint32_t zero_row[64] = {};
+
+/** True for the memory ops that write their destination register. */
+bool
+loadsDst(Op op)
+{
+    return op == Op::LDG || op == Op::LDS || op == Op::LDC ||
+           op == Op::ATOMG_ADD;
+}
+
 } // namespace
 
 Core::Core(const GpuConfig &cfg, unsigned core_id, MemorySystem &memsys,
@@ -81,23 +159,42 @@ void
 Core::setKernel(const KernelProgram *prog, const LaunchConfig *launch)
 {
     GSP_ASSERT(!busy(), "kernel switch on a busy core");
-    _prog = prog;
-    _launch = launch;
     unsigned threads = launch->block.count();
     GSP_ASSERT(threads > 0 && threads <= _cfg.core.max_threads,
                "block of ", threads, " threads does not fit core");
-    _warps_per_block = divCeil(threads, _cfg.core.warp_size);
+    // Until the program passes the checks below no block can launch.
+    _prog = nullptr;
     _decoded.clear();
     _decoded.reserve(prog->code.size());
-    for (const Instruction &inst : prog->code) {
-        Decoded d{0, inst.unitClass(), inst.writesReg()};
+    for (uint32_t pc = 0; pc < prog->code.size(); ++pc) {
+        const Instruction &inst = prog->code[pc];
+        if (loadsDst(inst.op) && !inst.writesReg())
+            fatal("kernel ", prog->name, " pc ", pc, ": ", opName(inst.op),
+                  " without a destination register");
+        if (inst.guard >= static_cast<int>(num_preds) ||
+            ((inst.op == Op::SETP || inst.op == Op::SELP) &&
+             inst.aux >= num_preds)) {
+            fatal("kernel ", prog->name, " pc ", pc,
+                  ": predicate index out of range (", num_preds,
+                  " predicates)");
+        }
+        Decoded d{0, inst.unitClass(), inst.writesReg(),
+                  static_cast<uint8_t>(inst.regSources())};
         for (const Operand *op :
              {&inst.dst, &inst.src_a, &inst.src_b, &inst.src_c}) {
-            if (op->kind == OperandKind::Reg)
-                d.use_mask |= 1ull << (op->value & 63);
+            if (op->kind != OperandKind::Reg)
+                continue;
+            if (op->value >= prog->regs_per_thread)
+                fatal("kernel ", prog->name, " pc ", pc, ": register r",
+                      op->value, " out of budget (", prog->regs_per_thread,
+                      " per thread)");
+            d.use_mask |= 1ull << (op->value & 63);
         }
         _decoded.push_back(d);
     }
+    _prog = prog;
+    _launch = launch;
+    _warps_per_block = divCeil(threads, _cfg.core.warp_size);
 }
 
 bool
@@ -156,9 +253,9 @@ Core::launchBlock(unsigned cta_x, unsigned cta_y, uint64_t cycle)
     blk.threads = threads;
     blk.live_warps = _warps_per_block;
     blk.at_barrier = 0;
-    blk.regs.assign(static_cast<size_t>(threads) * _prog->regs_per_thread,
+    blk.regs.assign(static_cast<size_t>(_warps_per_block) *
+                        _prog->regs_per_thread * _cfg.core.warp_size,
                     0);
-    blk.preds.assign(threads, 0);
     blk.smem = _prog->smem_bytes > 0
                    ? std::make_unique<SharedMemory>(_prog->smem_bytes)
                    : nullptr;
@@ -418,7 +515,7 @@ Core::issue(unsigned warp_idx, uint64_t cycle)
     Warp &warp = _warps[warp_idx];
     StackEntry &tos = warp.stack.back();
     const Instruction &inst = _prog->code[tos.exec_pc];
-    UnitClass uc = _decoded[tos.exec_pc].unit;
+    const Decoded &dec = _decoded[tos.exec_pc];
 
     // --- Issue accepted. ---
     --warp.ibuffer;
@@ -430,31 +527,27 @@ Core::issue(unsigned warp_idx, uint64_t cycle)
     Block &blk = _blocks[warp.block_slot];
 
     // Guard evaluation: threads whose predicate allows execution.
-    uint64_t exec_mask = 0;
-    for (unsigned lane = 0; lane < _cfg.core.warp_size; ++lane) {
-        if (!(tos.mask >> lane & 1))
-            continue;
-        unsigned tid = warp.base_thread + lane;
-        if (guardPasses(blk, tid, inst))
-            exec_mask |= 1ull << lane;
+    uint64_t exec_mask = tos.mask;
+    if (inst.guard >= 0) {
+        uint64_t p = warp.preds[inst.guard];
+        exec_mask &= inst.guard_negated ? ~p : p;
     }
-    unsigned active = popCount(tos.mask);
     unsigned enabled = popCount(exec_mask);
 
     // Register file traffic (operand collectors, banks, crossbar).
-    unsigned srcs = inst.regSources();
+    unsigned srcs = dec.reg_sources;
     unsigned per_op = rfAccessesPerOperand(tos.mask);
     _act.rf_bank_reads += srcs * per_op;
     _act.collector_writes += srcs;
     _act.rf_xbar_transfers += srcs;
     if (srcs > 0)
         ++_act.collector_reads;
-    if (inst.writesReg())
+    if (dec.writes_reg)
         _act.rf_bank_writes += per_op;
 
     const unsigned warp_size = _cfg.core.warp_size;
 
-    switch (uc) {
+    switch (dec.unit) {
       case UnitClass::Ctrl: {
         ++_act.ctrl_warp_insts;
         if (inst.op == Op::BRA) {
@@ -488,10 +581,10 @@ Core::issue(unsigned warp_idx, uint64_t cycle)
         unsigned initiation = divCeil(warp_size, _cfg.core.int_lanes);
         _unit_free[static_cast<unsigned>(UnitClass::Int)] =
             cycle + initiation;
-        executeInstruction(warp, inst, exec_mask, cycle);
+        executeInstruction(warp, inst, exec_mask);
         Completion c{cycle + _cfg.core.int_latency + initiation,
                      warp_idx, -1, 0};
-        if (_cfg.core.scoreboard && inst.writesReg()) {
+        if (_cfg.core.scoreboard && dec.writes_reg) {
             c.dst_reg = static_cast<int16_t>(inst.dst.value & 63);
             warp.pending_reg_mask |= 1ull << c.dst_reg;
             ++warp.pending_count;
@@ -507,10 +600,10 @@ Core::issue(unsigned warp_idx, uint64_t cycle)
         unsigned initiation = divCeil(warp_size, _cfg.core.fp_lanes);
         _unit_free[static_cast<unsigned>(UnitClass::Fp)] =
             cycle + initiation;
-        executeInstruction(warp, inst, exec_mask, cycle);
+        executeInstruction(warp, inst, exec_mask);
         Completion c{cycle + _cfg.core.fp_latency + initiation,
                      warp_idx, -1, 0};
-        if (_cfg.core.scoreboard && inst.writesReg()) {
+        if (_cfg.core.scoreboard && dec.writes_reg) {
             c.dst_reg = static_cast<int16_t>(inst.dst.value & 63);
             warp.pending_reg_mask |= 1ull << c.dst_reg;
             ++warp.pending_count;
@@ -526,10 +619,10 @@ Core::issue(unsigned warp_idx, uint64_t cycle)
         unsigned initiation = divCeil(warp_size, _cfg.core.sfu_units);
         _unit_free[static_cast<unsigned>(UnitClass::Sfu)] =
             cycle + initiation;
-        executeInstruction(warp, inst, exec_mask, cycle);
+        executeInstruction(warp, inst, exec_mask);
         Completion c{cycle + _cfg.core.sfu_latency + initiation,
                      warp_idx, -1, 0};
-        if (_cfg.core.scoreboard && inst.writesReg()) {
+        if (_cfg.core.scoreboard && dec.writes_reg) {
             c.dst_reg = static_cast<int16_t>(inst.dst.value & 63);
             warp.pending_reg_mask |= 1ull << c.dst_reg;
             ++warp.pending_count;
@@ -548,7 +641,7 @@ Core::issue(unsigned warp_idx, uint64_t cycle)
         // STS completes like LDS (SMEM round trip); STG is
         // fire-and-forget through the store path.
         Completion c{done, warp_idx, -1, uint8_t(is_load ? 1 : 0)};
-        if (_cfg.core.scoreboard && inst.writesReg()) {
+        if (_cfg.core.scoreboard && dec.writes_reg) {
             c.dst_reg = static_cast<int16_t>(inst.dst.value & 63);
             warp.pending_reg_mask |= 1ull << c.dst_reg;
             ++warp.pending_count;
@@ -571,7 +664,6 @@ Core::issue(unsigned warp_idx, uint64_t cycle)
         ++_act.reconv_pops;
         warp.ibuffer = 0;
     }
-    (void)active;
 }
 
 void
@@ -658,18 +750,14 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
                     uint64_t exec_mask, uint64_t cycle)
 {
     Block &blk = _blocks[warp.block_slot];
-    const unsigned warp_size = _cfg.core.warp_size;
     uint64_t &mem_free = _unit_free[static_cast<unsigned>(UnitClass::Mem)];
 
     // AGU: one address per enabled lane, 8 addresses per SAGU/cycle.
+    const uint32_t *base = operandRow(warp, inst.src_a, exec_mask, 0);
     _addr_scratch.clear();
-    for (unsigned lane = 0; lane < warp_size; ++lane) {
-        if (!(exec_mask >> lane & 1))
-            continue;
-        unsigned tid = warp.base_thread + lane;
-        uint32_t base = readOperand(blk, tid, warp, inst.src_a);
-        _addr_scratch.push_back(
-            base + static_cast<uint32_t>(inst.mem_offset));
+    for (uint64_t m = exec_mask; m; m &= m - 1) {
+        _addr_scratch.push_back(base[std::countr_zero(m)] +
+                                static_cast<uint32_t>(inst.mem_offset));
     }
     unsigned enabled = static_cast<unsigned>(_addr_scratch.size());
     _act.agu_addrs += enabled;
@@ -692,19 +780,15 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
         _act.smem_accesses += info.distinct_words;
         _act.smem_conflict_cycles += info.serialization - 1;
         // Functional.
-        unsigned idx = 0;
-        for (unsigned lane = 0; lane < warp_size; ++lane) {
-            if (!(exec_mask >> lane & 1))
-                continue;
-            unsigned tid = warp.base_thread + lane;
-            uint32_t addr = _addr_scratch[idx++];
-            if (is_store) {
-                blk.smem->store32(
-                    addr, readOperand(blk, tid, warp, inst.src_b));
-            } else {
-                threadReg(blk, tid, inst.dst.value) =
-                    blk.smem->load32(addr);
-            }
+        const uint32_t *addr = _addr_scratch.data();
+        if (is_store) {
+            const uint32_t *val = operandRow(warp, inst.src_b, exec_mask, 1);
+            for (uint64_t m = exec_mask; m; m &= m - 1)
+                blk.smem->store32(*addr++, val[std::countr_zero(m)]);
+        } else {
+            uint32_t *dst = regRow(warp, inst.dst.value);
+            for (uint64_t m = exec_mask; m; m &= m - 1)
+                dst[std::countr_zero(m)] = blk.smem->load32(*addr++);
         }
         mem_free = cycle + agu_cycles + info.serialization;
         return cycle + _cfg.core.smem_latency + info.serialization;
@@ -720,14 +804,10 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
                 miss_extra = const_miss_latency;
             }
         }
-        unsigned idx = 0;
-        for (unsigned lane = 0; lane < warp_size; ++lane) {
-            if (!(exec_mask >> lane & 1))
-                continue;
-            unsigned tid = warp.base_thread + lane;
-            threadReg(blk, tid, inst.dst.value) =
-                _cmem.load32(_addr_scratch[idx++]);
-        }
+        const uint32_t *addr = _addr_scratch.data();
+        uint32_t *dst = regRow(warp, inst.dst.value);
+        for (uint64_t m = exec_mask; m; m &= m - 1)
+            dst[std::countr_zero(m)] = _cmem.load32(*addr++);
         mem_free = cycle + agu_cycles + d;
         return cycle + _cfg.core.l1_latency + d + miss_extra;
       }
@@ -738,25 +818,24 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
         bool is_atomic = inst.op == Op::ATOMG_ADD;
 
         // Functional first (atomics serialize in lane order).
-        unsigned idx = 0;
-        for (unsigned lane = 0; lane < warp_size; ++lane) {
-            if (!(exec_mask >> lane & 1))
-                continue;
-            unsigned tid = warp.base_thread + lane;
-            uint32_t addr = _addr_scratch[idx++];
-            if (is_store) {
-                _gmem.store32(addr,
-                              readOperand(blk, tid, warp, inst.src_b));
-            } else if (is_atomic) {
-                uint32_t old = _gmem.load32(addr);
-                threadReg(blk, tid, inst.dst.value) = old;
-                _gmem.store32(
-                    addr,
-                    old + readOperand(blk, tid, warp, inst.src_b));
-            } else {
-                threadReg(blk, tid, inst.dst.value) =
-                    _gmem.load32(addr);
+        const uint32_t *addr = _addr_scratch.data();
+        if (is_store) {
+            const uint32_t *val = operandRow(warp, inst.src_b, exec_mask, 1);
+            for (uint64_t m = exec_mask; m; m &= m - 1)
+                _gmem.store32(*addr++, val[std::countr_zero(m)]);
+        } else if (is_atomic) {
+            const uint32_t *val = operandRow(warp, inst.src_b, exec_mask, 1);
+            uint32_t *dst = regRow(warp, inst.dst.value);
+            for (uint64_t m = exec_mask; m; m &= m - 1) {
+                unsigned l = std::countr_zero(m);
+                uint32_t old = _gmem.load32(*addr);
+                dst[l] = old;
+                _gmem.store32(*addr++, old + val[l]);
             }
+        } else {
+            uint32_t *dst = regRow(warp, inst.dst.value);
+            for (uint64_t m = exec_mask; m; m &= m - 1)
+                dst[std::countr_zero(m)] = _gmem.load32(*addr++);
         }
 
         // Coalescing [24].
@@ -828,203 +907,217 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
 
 void
 Core::executeInstruction(Warp &warp, const Instruction &inst,
-                         uint64_t exec_mask, uint64_t cycle)
+                         uint64_t exec_mask)
 {
-    (void)cycle;
-    Block &blk = _blocks[warp.block_slot];
-    const unsigned warp_size = _cfg.core.warp_size;
-
-    for (unsigned lane = 0; lane < warp_size; ++lane) {
-        if (!(exec_mask >> lane & 1))
-            continue;
-        unsigned tid = warp.base_thread + lane;
-        uint32_t a = readOperand(blk, tid, warp, inst.src_a);
-        uint32_t b = readOperand(blk, tid, warp, inst.src_b);
-        uint32_t c = readOperand(blk, tid, warp, inst.src_c);
-        uint32_t result = 0;
-        bool write_result = inst.writesReg();
-
-        switch (inst.op) {
-          case Op::MOV: result = a; break;
-          case Op::IADD: result = a + b; break;
-          case Op::ISUB: result = a - b; break;
-          case Op::IMUL:
-            result = static_cast<uint32_t>(
-                static_cast<uint64_t>(a) * b);
+    const uint32_t *a = operandRow(warp, inst.src_a, exec_mask, 0);
+    const uint32_t *b = operandRow(warp, inst.src_b, exec_mask, 1);
+    if (inst.op == Op::SETP) {
+        uint64_t r = 0;
+        switch (inst.cmp_type) {
+          case CmpType::I32:
+            r = compareMask<int32_t>(inst.cmp, exec_mask, a, b);
             break;
-          case Op::IMAD:
-            result = static_cast<uint32_t>(
-                static_cast<uint64_t>(a) * b + c);
+          case CmpType::U32:
+            r = compareMask<uint32_t>(inst.cmp, exec_mask, a, b);
             break;
-          case Op::ISHL: result = a << (b & 31); break;
-          case Op::ISHR: result = a >> (b & 31); break;
-          case Op::IAND: result = a & b; break;
-          case Op::IOR: result = a | b; break;
-          case Op::IXOR: result = a ^ b; break;
-          case Op::IMIN:
-            result = static_cast<uint32_t>(
-                std::min(static_cast<int32_t>(a),
-                         static_cast<int32_t>(b)));
+          case CmpType::F32:
+            r = compareMask<float>(inst.cmp, exec_mask, a, b);
             break;
-          case Op::IMAX:
-            result = static_cast<uint32_t>(
-                std::max(static_cast<int32_t>(a),
-                         static_cast<int32_t>(b)));
-            break;
-          case Op::FADD: result = asBits(asFloat(a) + asFloat(b)); break;
-          case Op::FSUB: result = asBits(asFloat(a) - asFloat(b)); break;
-          case Op::FMUL: result = asBits(asFloat(a) * asFloat(b)); break;
-          case Op::FFMA:
-            result = asBits(asFloat(a) * asFloat(b) + asFloat(c));
-            break;
-          case Op::FMIN:
-            result = asBits(std::min(asFloat(a), asFloat(b)));
-            break;
-          case Op::FMAX:
-            result = asBits(std::max(asFloat(a), asFloat(b)));
-            break;
-          case Op::I2F:
-            result = asBits(static_cast<float>(static_cast<int32_t>(a)));
-            break;
-          case Op::F2I:
-            result = static_cast<uint32_t>(
-                static_cast<int32_t>(asFloat(a)));
-            break;
-          case Op::RCP: result = asBits(1.0f / asFloat(a)); break;
-          case Op::RSQRT:
-            result = asBits(1.0f / std::sqrt(asFloat(a)));
-            break;
-          case Op::SQRT: result = asBits(std::sqrt(asFloat(a))); break;
-          case Op::SIN: result = asBits(std::sin(asFloat(a))); break;
-          case Op::COS: result = asBits(std::cos(asFloat(a))); break;
-          case Op::EX2: result = asBits(std::exp2(asFloat(a))); break;
-          case Op::LG2: result = asBits(std::log2(asFloat(a))); break;
-          case Op::SETP: {
-            bool r = false;
-            switch (inst.cmp_type) {
-              case CmpType::I32: {
-                int32_t x = static_cast<int32_t>(a);
-                int32_t y = static_cast<int32_t>(b);
-                switch (inst.cmp) {
-                  case Cmp::EQ: r = x == y; break;
-                  case Cmp::NE: r = x != y; break;
-                  case Cmp::LT: r = x < y; break;
-                  case Cmp::LE: r = x <= y; break;
-                  case Cmp::GT: r = x > y; break;
-                  case Cmp::GE: r = x >= y; break;
-                }
-                break;
-              }
-              case CmpType::U32: {
-                switch (inst.cmp) {
-                  case Cmp::EQ: r = a == b; break;
-                  case Cmp::NE: r = a != b; break;
-                  case Cmp::LT: r = a < b; break;
-                  case Cmp::LE: r = a <= b; break;
-                  case Cmp::GT: r = a > b; break;
-                  case Cmp::GE: r = a >= b; break;
-                }
-                break;
-              }
-              case CmpType::F32: {
-                float x = asFloat(a);
-                float y = asFloat(b);
-                switch (inst.cmp) {
-                  case Cmp::EQ: r = x == y; break;
-                  case Cmp::NE: r = x != y; break;
-                  case Cmp::LT: r = x < y; break;
-                  case Cmp::LE: r = x <= y; break;
-                  case Cmp::GT: r = x > y; break;
-                  case Cmp::GE: r = x >= y; break;
-                }
-                break;
-              }
-            }
-            writePred(blk, tid, inst.aux, r);
-            write_result = false;
-            break;
-          }
-          case Op::SELP:
-            result = readPred(blk, tid, inst.aux) ? a : b;
-            break;
-          case Op::NOP:
-            write_result = false;
-            break;
-          default:
-            GSP_PANIC("executeInstruction on unexpected opcode ",
-                      opName(inst.op));
         }
-        if (write_result)
-            threadReg(blk, tid, inst.dst.value) = result;
+        // Lanes outside the exec mask keep their predicate bit.
+        uint64_t &p = warp.preds[inst.aux];
+        p = (p & ~exec_mask) | r;
+        return;
+    }
+    if (!inst.writesReg())
+        return;
+    const uint32_t *c = operandRow(warp, inst.src_c, exec_mask, 2);
+    uint32_t *d = regRow(warp, inst.dst.value);
+    const uint64_t m = exec_mask;
+
+    using u32 = uint32_t;
+    switch (inst.op) {
+      case Op::MOV:
+        laneMap(m, d, a, b, c, [](u32 x, u32, u32) { return x; });
+        break;
+      case Op::IADD:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32) { return x + y; });
+        break;
+      case Op::ISUB:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32) { return x - y; });
+        break;
+      case Op::IMUL:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32) {
+            return static_cast<u32>(static_cast<uint64_t>(x) * y);
+        });
+        break;
+      case Op::IMAD:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32 z) {
+            return static_cast<u32>(static_cast<uint64_t>(x) * y + z);
+        });
+        break;
+      case Op::ISHL:
+        laneMap(m, d, a, b, c,
+                [](u32 x, u32 y, u32) { return x << (y & 31); });
+        break;
+      case Op::ISHR:
+        laneMap(m, d, a, b, c,
+                [](u32 x, u32 y, u32) { return x >> (y & 31); });
+        break;
+      case Op::IAND:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32) { return x & y; });
+        break;
+      case Op::IOR:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32) { return x | y; });
+        break;
+      case Op::IXOR:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32) { return x ^ y; });
+        break;
+      case Op::IMIN:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32) {
+            return static_cast<u32>(std::min(static_cast<int32_t>(x),
+                                             static_cast<int32_t>(y)));
+        });
+        break;
+      case Op::IMAX:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32) {
+            return static_cast<u32>(std::max(static_cast<int32_t>(x),
+                                             static_cast<int32_t>(y)));
+        });
+        break;
+      case Op::FADD:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32) {
+            return asBits(asFloat(x) + asFloat(y));
+        });
+        break;
+      case Op::FSUB:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32) {
+            return asBits(asFloat(x) - asFloat(y));
+        });
+        break;
+      case Op::FMUL:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32) {
+            return asBits(asFloat(x) * asFloat(y));
+        });
+        break;
+      case Op::FFMA:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32 z) {
+            return asBits(asFloat(x) * asFloat(y) + asFloat(z));
+        });
+        break;
+      case Op::FMIN:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32) {
+            return asBits(std::min(asFloat(x), asFloat(y)));
+        });
+        break;
+      case Op::FMAX:
+        laneMap(m, d, a, b, c, [](u32 x, u32 y, u32) {
+            return asBits(std::max(asFloat(x), asFloat(y)));
+        });
+        break;
+      case Op::I2F:
+        laneMap(m, d, a, b, c, [](u32 x, u32, u32) {
+            return asBits(static_cast<float>(static_cast<int32_t>(x)));
+        });
+        break;
+      case Op::F2I:
+        laneMap(m, d, a, b, c, [](u32 x, u32, u32) {
+            return static_cast<u32>(static_cast<int32_t>(asFloat(x)));
+        });
+        break;
+      case Op::RCP:
+        laneMapFloat(m, d, a, [](float x) { return 1.0f / x; });
+        break;
+      case Op::RSQRT:
+        laneMapFloat(m, d, a, [](float x) { return 1.0f / std::sqrt(x); });
+        break;
+      case Op::SQRT:
+        laneMapFloat(m, d, a, [](float x) { return std::sqrt(x); });
+        break;
+      case Op::SIN:
+        laneMapFloat(m, d, a, [](float x) { return std::sin(x); });
+        break;
+      case Op::COS:
+        laneMapFloat(m, d, a, [](float x) { return std::cos(x); });
+        break;
+      case Op::EX2:
+        laneMapFloat(m, d, a, [](float x) { return std::exp2(x); });
+        break;
+      case Op::LG2:
+        laneMapFloat(m, d, a, [](float x) { return std::log2(x); });
+        break;
+      case Op::SELP: {
+        const uint64_t p = warp.preds[inst.aux];
+        for (uint64_t k = m; k; k &= k - 1) {
+            unsigned l = std::countr_zero(k);
+            d[l] = (p >> l & 1) ? a[l] : b[l];
+        }
+        break;
+      }
+      default:
+        GSP_PANIC("executeInstruction on unexpected opcode ",
+                  opName(inst.op));
     }
 }
 
-uint32_t
-Core::readOperand(const Block &blk, unsigned tid, const Warp &warp,
-                  const Operand &op) const
+uint32_t *
+Core::regRow(const Warp &warp, unsigned reg)
 {
+    const size_t row =
+        static_cast<size_t>(warp.warp_in_block) * _prog->regs_per_thread +
+        reg;
+    return _blocks[warp.block_slot].regs.data() +
+           row * _cfg.core.warp_size;
+}
+
+const uint32_t *
+Core::operandRow(const Warp &warp, const Operand &op, uint64_t exec_mask,
+                 unsigned slot)
+{
+    uint32_t *row = _operand_rows[slot];
     switch (op.kind) {
       case OperandKind::None:
-        return 0;
-      case OperandKind::Imm:
-        return op.value;
+        return zero_row;
       case OperandKind::Reg:
-        return blk.regs[static_cast<size_t>(tid) *
-                            _prog->regs_per_thread +
-                        op.value];
-      case OperandKind::Special: {
-        const Dim3 &ntid = _launch->block;
-        const Dim3 &nctaid = _launch->grid;
-        switch (static_cast<SpecialReg>(op.value)) {
-          case SpecialReg::TidX: return tid % ntid.x;
-          case SpecialReg::TidY: return tid / ntid.x;
-          case SpecialReg::NTidX: return ntid.x;
-          case SpecialReg::NTidY: return ntid.y;
-          case SpecialReg::CtaIdX: return blk.cta_x;
-          case SpecialReg::CtaIdY: return blk.cta_y;
-          case SpecialReg::NCtaIdX: return nctaid.x;
-          case SpecialReg::NCtaIdY: return nctaid.y;
-          case SpecialReg::LaneId: return tid % _cfg.core.warp_size;
-          case SpecialReg::WarpId: return warp.warp_in_block;
-        }
-        return 0;
-      }
+        return regRow(warp, op.value);
+      case OperandKind::Imm:
+        std::fill_n(row, _cfg.core.warp_size, op.value);
+        return row;
+      case OperandKind::Special:
+        break;
     }
-    return 0;
-}
-
-uint32_t &
-Core::threadReg(Block &blk, unsigned tid, unsigned reg)
-{
-    GSP_ASSERT(reg < _prog->regs_per_thread, "register ", reg,
-               " out of budget in ", _prog->name);
-    return blk.regs[static_cast<size_t>(tid) * _prog->regs_per_thread +
-                    reg];
-}
-
-bool
-Core::readPred(const Block &blk, unsigned tid, unsigned p) const
-{
-    return (blk.preds[tid] >> p) & 1;
-}
-
-void
-Core::writePred(Block &blk, unsigned tid, unsigned p, bool v)
-{
-    if (v)
-        blk.preds[tid] |= static_cast<uint8_t>(1u << p);
-    else
-        blk.preds[tid] &= static_cast<uint8_t>(~(1u << p));
-}
-
-bool
-Core::guardPasses(const Block &blk, unsigned tid,
-                  const Instruction &inst) const
-{
-    if (inst.guard < 0)
-        return true;
-    bool p = readPred(blk, tid, static_cast<unsigned>(inst.guard));
-    return inst.guard_negated ? !p : p;
+    const Block &blk = _blocks[warp.block_slot];
+    const Dim3 &ntid = _launch->block;
+    const Dim3 &nctaid = _launch->grid;
+    uint32_t uniform = 0;
+    switch (static_cast<SpecialReg>(op.value)) {
+      case SpecialReg::TidX:
+        for (uint64_t m = exec_mask; m; m &= m - 1) {
+            unsigned l = std::countr_zero(m);
+            row[l] = (warp.base_thread + l) % ntid.x;
+        }
+        return row;
+      case SpecialReg::TidY:
+        for (uint64_t m = exec_mask; m; m &= m - 1) {
+            unsigned l = std::countr_zero(m);
+            row[l] = (warp.base_thread + l) / ntid.x;
+        }
+        return row;
+      case SpecialReg::LaneId:
+        // Warps start at multiples of warp_size: the lane is tid % it.
+        for (unsigned l = 0; l < _cfg.core.warp_size; ++l)
+            row[l] = l;
+        return row;
+      case SpecialReg::NTidX: uniform = ntid.x; break;
+      case SpecialReg::NTidY: uniform = ntid.y; break;
+      case SpecialReg::CtaIdX: uniform = blk.cta_x; break;
+      case SpecialReg::CtaIdY: uniform = blk.cta_y; break;
+      case SpecialReg::NCtaIdX: uniform = nctaid.x; break;
+      case SpecialReg::NCtaIdY: uniform = nctaid.y; break;
+      case SpecialReg::WarpId: uniform = warp.warp_in_block; break;
+    }
+    std::fill_n(row, _cfg.core.warp_size, uniform);
+    return row;
 }
 
 unsigned

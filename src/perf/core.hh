@@ -11,7 +11,10 @@
  * Execution is functional-at-issue: when a warp instruction issues,
  * its lanes compute real values, so addresses and branch outcomes
  * are exact; timing is modeled with pipeline next-free times and a
- * completion event heap.
+ * completion event heap. Execution is warp-wide: an instruction is
+ * dispatched once and applied in one loop over its exec-mask lanes.
+ * Each register is a contiguous row of warp_size lanes and each
+ * predicate is a per-warp lane mask.
  *
  * Stepping is event-driven. A step that changes no state (nothing
  * written back, issued or fetched) is quiet, and every later step is
@@ -118,6 +121,9 @@ class Core
     void resetForKernel();
 
   private:
+    /** Predicate registers per thread (SETP/SELP aux, guards). */
+    static constexpr unsigned num_preds = 4;
+
     /** Resident thread block context. */
     struct Block
     {
@@ -127,8 +133,9 @@ class Core
         unsigned threads = 0;
         unsigned live_warps = 0;
         unsigned at_barrier = 0;
-        std::vector<uint32_t> regs;    // threads x regs_per_thread
-        std::vector<uint8_t> preds;    // threads x 1 (bit per pred)
+        // Register file, [warp_in_block][reg][lane]: every register
+        // of a warp is one row of warp_size lanes.
+        std::vector<uint32_t> regs;
         std::unique_ptr<SharedMemory> smem;
     };
 
@@ -147,6 +154,7 @@ class Core
         bool at_barrier = false;
         uint64_t pending_reg_mask = 0; // scoreboard: regs 0..63
         unsigned pending_count = 0;    // scoreboard entries used
+        uint64_t preds[num_preds] = {}; // predicate p: bit = lane
     };
 
     /** Per-instruction issue facts, decoded once per kernel. */
@@ -155,6 +163,7 @@ class Core
         uint64_t use_mask;         // registers read or written
         UnitClass unit;
         bool writes_reg;
+        uint8_t reg_sources;       // register source operands
     };
 
     /** Completion event (writeback). */
@@ -219,6 +228,9 @@ class Core
     // Scratch buffers reused across cycles (no hot-path allocation).
     std::vector<uint32_t> _addr_scratch;
     std::vector<uint32_t> _seg_scratch;
+    // Lane rows of an instruction's immediate and special-register
+    // operands (one per source slot).
+    uint32_t _operand_rows[3][64] = {};
 
     // --- stage helpers ---
     bool drainCompletions(uint64_t cycle);
@@ -228,7 +240,7 @@ class Core
     void refreshCandidates(unsigned warp_idx);
     uint64_t nextEventCycle(uint64_t cycle) const;
     void executeInstruction(Warp &warp, const Instruction &inst,
-                            uint64_t exec_mask, uint64_t cycle);
+                            uint64_t exec_mask);
     uint64_t executeMemory(Warp &warp, const Instruction &inst,
                            uint64_t exec_mask, uint64_t cycle);
     void executeBranch(Warp &warp, const Instruction &inst,
@@ -238,13 +250,14 @@ class Core
     void finishWarpIfDone(unsigned warp_idx);
 
     // --- functional helpers ---
-    uint32_t readOperand(const Block &blk, unsigned tid,
-                         const Warp &warp, const Operand &op) const;
-    uint32_t &threadReg(Block &blk, unsigned tid, unsigned reg);
-    bool readPred(const Block &blk, unsigned tid, unsigned p) const;
-    void writePred(Block &blk, unsigned tid, unsigned p, bool v);
-    bool guardPasses(const Block &blk, unsigned tid,
-                     const Instruction &inst) const;
+    /** Row of register `reg` of a warp: one value per lane. */
+    uint32_t *regRow(const Warp &warp, unsigned reg);
+    /**
+     * Lane values of a source operand: the register row itself, or
+     * `slot`'s scratch row filled for the lanes of `exec_mask`.
+     */
+    const uint32_t *operandRow(const Warp &warp, const Operand &op,
+                               uint64_t exec_mask, unsigned slot);
 
     unsigned rfAccessesPerOperand(uint64_t mask) const;
 };

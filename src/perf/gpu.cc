@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 
 namespace gpusimpow {
 namespace perf {
@@ -24,6 +25,7 @@ struct PerfMetrics
     obs::Counter &warp_insts;
     obs::Counter &core_steps;
     obs::Counter &core_cycles_slept;
+    obs::Counter &dram_accesses;
 
     static PerfMetrics &instance()
     {
@@ -38,6 +40,8 @@ struct PerfMetrics
             reg.counter("perf/core_cycles_slept",
                         "resident core-cycles booked in bulk while the "
                         "core slept until its next event"),
+            reg.counter("perf/dram_accesses",
+                        "DRAM read and write bursts"),
         };
         return m;
     }
@@ -165,6 +169,7 @@ RunResult
 Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
          const SampleFn &sampler, double sample_interval_s)
 {
+    GSP_TRACE_SPAN("perf/kernel");
     GSP_ASSERT(launch.grid.count() > 0, "empty grid");
 
     for (auto &core : _cores) {
@@ -311,6 +316,8 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
     m.warp_insts.add(result.instructions);
     m.core_steps.add(resident - slept);
     m.core_cycles_slept.add(slept);
+    m.dram_accesses.add(final_act.mem.dram_read_bursts +
+                        final_act.mem.dram_write_bursts);
     return result;
 }
 

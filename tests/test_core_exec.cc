@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
+#include "common/logging.hh"
 #include "perf/gpu.hh"
 #include "perf/kernel.hh"
 
@@ -52,6 +56,22 @@ runKernel(const KernelProgram &prog, unsigned threads,
 }
 
 constexpr uint32_t out_base = 0x10000;
+
+uint32_t
+bitsOf(float f)
+{
+    uint32_t bits;
+    std::memcpy(&bits, &f, 4);
+    return bits;
+}
+
+/** Emit "store r_src at out[slot * 64 + tid]" (addresses in r15). */
+void
+emitStoreSlot(KernelBuilder &b, unsigned src, unsigned slot)
+{
+    b.imad(15, S(SpecialReg::TidX), I(4), I(out_base + slot * 64 * 4));
+    b.stg(R(15), R(src));
+}
 
 /** Emit "store r_src at out[gtid]" and exit. */
 void
@@ -447,4 +467,202 @@ TEST(Exec, GuardedMemoryOpsDoNotTouchMemory)
     EXPECT_EQ(out[1], 55u);
     for (uint32_t tid = 2; tid < 8; ++tid)
         EXPECT_EQ(out[tid], 0u);
+}
+
+TEST(Exec, UncommonOpcodesLaneByLane)
+{
+    // SQRT, SIN, COS, FMIN and ISHL against the host's own results,
+    // bit for bit and lane by lane: a lane reading a neighbour's row
+    // shows up here.
+    const unsigned n = 32;
+    KernelBuilder b("uncommon", 16);
+    b.mov(0, S(SpecialReg::TidX));
+    b.i2f(1, R(0));
+    b.fmul(2, R(1), F(0.37f));
+    b.fsub(2, R(2), F(3.0f));              // x = 0.37 tid - 3
+    b.fsqrt(3, R(1));
+    b.fsin(4, R(2));
+    b.fcos(5, R(2));
+    b.fmin(6, R(2), F(1.5f));
+    b.iadd(7, R(0), I(27));                // shift amounts 27..58
+    b.ishl(8, I(0x80000001u), R(7));       // ISHL shifts by amount & 31
+    const unsigned results[] = {3, 4, 5, 6, 8};
+    for (unsigned k = 0; k < 5; ++k)
+        emitStoreSlot(b, results[k], k);
+    b.exit();
+    auto out = runKernel(b.finish(), n, out_base, 5 * 64);
+    for (uint32_t tid = 0; tid < n; ++tid) {
+        float t = static_cast<float>(tid);
+        float x = t * 0.37f;
+        x = x - 3.0f;
+        EXPECT_EQ(out[0 * 64 + tid], bitsOf(std::sqrt(t))) << tid;
+        EXPECT_EQ(out[1 * 64 + tid], bitsOf(std::sin(x))) << tid;
+        EXPECT_EQ(out[2 * 64 + tid], bitsOf(std::cos(x))) << tid;
+        EXPECT_EQ(out[3 * 64 + tid], bitsOf(std::min(x, 1.5f))) << tid;
+        EXPECT_EQ(out[4 * 64 + tid], 0x80000001u << ((tid + 27) & 31))
+            << tid;
+    }
+}
+
+TEST(Exec, PartialLastWarpLeavesTailLanesUntouched)
+{
+    // 40 threads: warp 1 has 8 live lanes. Every live thread stores;
+    // the 24 lanes past the block's thread count must never run, so
+    // their slots stay zero in both blocks.
+    KernelBuilder b("partial", 16);
+    b.mov(0, S(SpecialReg::TidX));
+    b.setp(0, Cmp::GE, CmpType::U32, S(SpecialReg::LaneId), I(4));
+    b.selp(1, 0, I(1000), I(2000));
+    b.iadd(1, R(1), R(0));
+    b.imad(2, S(SpecialReg::CtaIdX), I(64), R(0));
+    b.imad(2, R(2), I(4), I(out_base));
+    b.pred(0, true).stg(R(2), R(1));
+    b.pred(0).stg(R(2), R(1));
+    b.exit();
+    auto out = runKernel(b.finish(), 40, out_base, 2 * 64, nullptr, 2);
+    for (uint32_t cta = 0; cta < 2; ++cta) {
+        for (uint32_t tid = 0; tid < 64; ++tid) {
+            uint32_t want = 0;
+            if (tid < 40)
+                want = (tid % 32 >= 4 ? 1000u : 2000u) + tid;
+            EXPECT_EQ(out[cta * 64 + tid], want)
+                << "block " << cta << " tid " << tid;
+        }
+    }
+}
+
+TEST(Exec, NegatedGuardRunsTheComplementLanes)
+{
+    KernelBuilder b("negguard", 16);
+    b.mov(0, S(SpecialReg::TidX));
+    b.iand(2, R(0), I(1));
+    b.setp(2, Cmp::NE, CmpType::U32, R(2), I(0));   // p2: odd tid
+    b.mov(1, I(0));
+    b.pred(2, true).mov(1, I(10));                  // even lanes
+    b.pred(2).iadd(1, R(1), I(20));                 // odd lanes
+    // p3 was never written: all zero, so its negation runs every lane.
+    b.pred(3, true).iadd(1, R(1), I(1));
+    b.pred(3).iadd(1, R(1), I(500));                // no lane
+    emitStoreResult(b, 1);
+    auto out = runKernel(b.finish(), 48, out_base, 48);
+    for (uint32_t tid = 0; tid < 48; ++tid)
+        EXPECT_EQ(out[tid], tid % 2 ? 21u : 11u) << "tid " << tid;
+}
+
+TEST(Exec, GuardedSetpKeepsOtherLanesPredicates)
+{
+    // p0 = tid < 16 on every lane; then a SETP guarded by p1 (odd
+    // lanes) rewrites p0 to false on odd lanes only. Even lanes must
+    // keep their p0 bit.
+    KernelBuilder b("setp_mask", 16);
+    b.mov(0, S(SpecialReg::TidX));
+    b.setp(0, Cmp::LT, CmpType::U32, R(0), I(16));
+    b.iand(2, R(0), I(1));
+    b.setp(1, Cmp::NE, CmpType::U32, R(2), I(0));
+    b.pred(1).setp(0, Cmp::EQ, CmpType::U32, R(0), I(999));
+    b.selp(1, 0, I(1), I(0));
+    emitStoreResult(b, 1);
+    auto out = runKernel(b.finish(), 32, out_base, 32);
+    for (uint32_t tid = 0; tid < 32; ++tid)
+        EXPECT_EQ(out[tid], tid % 2 == 0 && tid < 16 ? 1u : 0u)
+            << "tid " << tid;
+}
+
+TEST(Exec, FloatSetpWithNanOperands)
+{
+    // Lane classes by tid % 3: NaN on the left, NaN on the right, and
+    // 1.0 vs 1.0. Every ordered comparison with a NaN is false and
+    // only NE holds.
+    KernelBuilder b("fsetp_nan", 16);
+    b.mov(0, S(SpecialReg::TidX));
+    b.mov(3, F(1.0f));
+    b.mov(4, F(1.0f));
+    const float nan = std::nanf("");
+    for (uint32_t t = 0; t < 12; ++t) {
+        if (t % 3 == 2)
+            continue;
+        b.setp(1, Cmp::EQ, CmpType::U32, R(0), I(t));
+        if (t % 3 == 0)
+            b.pred(1).mov(3, F(nan));
+        else
+            b.pred(1).mov(4, F(nan));
+    }
+    uint32_t acc = 12;
+    b.mov(acc, I(0));
+    struct Case
+    {
+        Cmp cmp;
+        uint32_t bit;
+    };
+    Case cases[] = {{Cmp::EQ, 1}, {Cmp::NE, 2},  {Cmp::LT, 4},
+                    {Cmp::LE, 8}, {Cmp::GT, 16}, {Cmp::GE, 32}};
+    for (const Case &c : cases) {
+        b.setp(0, c.cmp, CmpType::F32, R(3), R(4));
+        b.selp(1, 0, I(c.bit), I(0));
+        b.ior(acc, R(acc), R(1));
+    }
+    emitStoreResult(b, acc);
+    auto out = runKernel(b.finish(), 12, out_base, 12);
+    for (uint32_t tid = 0; tid < 12; ++tid)
+        EXPECT_EQ(out[tid], tid % 3 == 2 ? 1u | 8u | 32u : 2u)
+            << "tid " << tid;
+}
+
+namespace {
+
+/** Run `prog` (32 threads) and expect fatal() naming `what`. */
+void
+expectFatal(const KernelProgram &prog, const std::string &what)
+{
+    Gpu gpu(tinyGpu());
+    LaunchConfig lc;
+    lc.grid = {1, 1};
+    lc.block = {32, 1};
+    try {
+        gpu.run(prog, lc);
+        FAIL() << "expected FatalError mentioning '" << what << "'";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find(prog.name), std::string::npos) << msg;
+        EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    }
+}
+
+} // namespace
+
+TEST(Exec, OutOfBudgetSourceRegisterFailsClosed)
+{
+    // Two registers per thread: r5 would be read past the block's
+    // register file.
+    KernelBuilder b("oob_src", 2);
+    b.iadd(1, R(5), I(0));
+    b.exit();
+    expectFatal(b.finish(), "pc 0: register r5 out of budget");
+}
+
+TEST(Exec, OutOfBudgetDestinationRegisterFailsClosed)
+{
+    KernelBuilder b("oob_dst", 2);
+    b.mov(0, I(1));
+    b.iadd(2, R(0), I(1));
+    b.exit();
+    expectFatal(b.finish(), "pc 1: register r2 out of budget");
+}
+
+TEST(Exec, OutOfRangePredicateFailsClosed)
+{
+    KernelBuilder b("bad_pred", 4);
+    b.setp(0, Cmp::EQ, CmpType::U32, I(0), I(0));
+    b.selp(1, 0, I(1), I(2));
+    b.exit();
+    const KernelProgram prog = b.finish();
+    KernelProgram setp = prog;
+    setp.code[0].aux = 4;
+    expectFatal(setp, "pc 0: predicate index out of range");
+    KernelProgram selp = prog;
+    selp.code[1].aux = 7;
+    expectFatal(selp, "pc 1: predicate index out of range");
+    KernelProgram guard = prog;
+    guard.code[2].guard = 4;
+    expectFatal(guard, "pc 2: predicate index out of range");
 }

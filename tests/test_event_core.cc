@@ -274,6 +274,10 @@ TEST(EventCore, DramStallsBookEveryQuietCycle)
     EXPECT_EQ(delta.counter("perf/kernels"), 1u);
     EXPECT_EQ(delta.counter("perf/shader_cycles"), r.cycles);
     EXPECT_EQ(delta.counter("perf/warp_insts"), r.instructions);
+    EXPECT_GT(r.activity.mem.dram_read_bursts, 0u);
+    EXPECT_EQ(delta.counter("perf/dram_accesses"),
+              r.activity.mem.dram_read_bursts +
+                  r.activity.mem.dram_write_bursts);
 }
 
 TEST(EventCore, NoForwardProgressFailsClosed)
